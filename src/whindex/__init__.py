@@ -3,7 +3,7 @@
 The library computes the full index profile of a symbol R = V W* that takes
 unitary values on the imaginary axis, starting from stable dissipative
 state-space realizations of the two inner factors.  It ships realization
-builders, the dense matrix-equation solvers the pipelines need, the
+builders, the Schur-based matrix-equation solvers the pipelines need, the
 continuous/discrete realization dictionary, and independent oracles
 (winding numbers, root tests) for cross-validation.
 """
@@ -27,7 +27,9 @@ from .core import (
 )
 from .equations import (
     EquationSolution,
+    SchurForm,
     eigenvalue_one_multiplicity,
+    schur_form,
     solve_stein,
     solve_sylvester,
     unit_eigenvectors,
@@ -82,6 +84,7 @@ __all__ = [
     "PreconditionError",
     "Realization",
     "ResolutionError",
+    "SchurForm",
     "StructureError",
     "SymbolPair",
     "UnsolvableEquationError",
@@ -108,6 +111,7 @@ __all__ = [
     "recover_blaschke_pointwise",
     "roots_stable",
     "schur_cohen_stable",
+    "schur_form",
     "solve_stein",
     "solve_sylvester",
     "unit_eigenvectors",

@@ -31,7 +31,8 @@ def opnorm(x: np.ndarray) -> float:
     """Spectral norm, with the empty matrix having norm zero."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    # The largest singular value, as np.linalg.norm(x, 2) computes it, without its axis handling.
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

@@ -1,15 +1,34 @@
-"""Dense solvers for the two matrix equations driving the index pipelines.
+"""Schur-based solvers for the two matrix equations driving the index pipelines.
 
-Both the continuous equation ``a x + x b + c = 0`` and the discrete equation
-``x = a x b + c`` are solved by Kronecker vectorization: assemble the
-(pq) x (pq) linear system and solve it densely through its SVD.  That is
-cubic in pq, which is fine at the state dimensions this library targets
-(tens, not thousands), and the SVD doubles as the conditioning gate.
+The continuous equation ``a x + x b + c = 0`` and the discrete equation
+``x = a x b + c`` are both solved by the Bartels-Stewart method (Bartels &
+Stewart, CACM 1972): reduce ``a`` and ``b`` to complex Schur form, solve the
+triangular equation with LAPACK ``ztrsyl``, and transform back.  The discrete
+equation reaches the same ``ztrsyl`` call through a Cayley transform of the
+two triangular factors.  Everything is cubic in the state dimension, and a
+Schur form computed once serves every equation whose coefficient is that
+matrix or its adjoint.
+
+Every solve is gated on conditioning, measured in the 2-norm of the
+vectorized operator as a dense Kronecker solver would measure it.  The norm
+of the inverse of the triangular operator is estimated with the Hager/Higham
+estimator, driven by ``ztrsyl`` and its conjugate-transposed form as LAPACK
+``ztrsna`` does when it estimates ``sep``, followed by one power step; the
+operator's own norm is bounded from above.  A solution whose estimated
+condition number exceeds ``CONDITION_LIMIT`` is refused.
+
+SciPy's LAPACK wrappers are loaded by the first factorization rather than
+with the package, and without the ``scipy.linalg`` package around them,
+whose import costs more than all of whindex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import importlib.machinery
+import importlib.util
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,12 +38,107 @@ from .errors import ContractionViolationError, EvaluationError, StructureError, 
 #: Relative residual the solvers are expected to reach.
 SOLVE_TOL = 1e-10
 
-#: Condition number of the vectorized system beyond which a solution is
-#: refused; spectra this close to resonance make the result meaningless.
+#: Condition number of an equation beyond which a solution is refused;
+#: spectra this close to resonance make the result meaningless.
 CONDITION_LIMIT = 1e12
 
 #: Default clustering tolerance for counting unit eigenvalues.
 CLUSTER_TOL = 1e-7
+
+#: Iteration cap of the Hager/Higham norm estimator (ITMAX of LAPACK zlacn2).
+_ESTIMATOR_ITERATIONS = 5
+
+#: Cayley parameters tried for the discrete equation, the first one preferred on ties.
+_CAYLEY_SHIFTS = np.exp(0.25j * np.pi * np.arange(8))
+
+
+@functools.cache
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
+
+    The extension is loaded from its file, because importing the
+    ``scipy.linalg`` package costs about 0.3 s of processor time (x86-64,
+    SciPy 1.17) and the extension alone a few milliseconds.  A SciPy laid out
+    differently falls back to the package import.
+    """
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class SchurForm:
+    """A square matrix ``a`` with its complex Schur form ``a = u t u*``.
+
+    t is upper triangular and u unitary.  With ``adjoint`` set the object
+    stands for ``a*`` instead, so a matrix and its adjoint share one
+    factorization.  The solvers and ``zeta_of_minus`` accept a SchurForm
+    wherever they accept the matrix it stands for, and then reuse the
+    factorization.
+    """
+
+    a: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+    adjoint: bool = False
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def H(self) -> "SchurForm":
+        """The same factorization standing for the adjoint matrix."""
+        return replace(self, adjoint=not self.adjoint)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The matrix this form stands for, a or a*."""
+        return self.a.conj().T if self.adjoint else self.a
+
+    def op(self) -> np.ndarray:
+        """The represented triangular factor, t or t*."""
+        return self.t.conj().T if self.adjoint else self.t
+
+    def shifted(self, s: complex) -> np.ndarray:
+        """Upper triangular r with op(r) = op(t) + s I."""
+        return self.t + (np.conj(s) if self.adjoint else s) * np.eye(len(self.t))
+
+
+def _square(a) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    if a.size == 0:
+        return a.reshape(0, 0)
+    if a.shape[0] != a.shape[1]:
+        raise StructureError(f"expected a square matrix, got {a.shape}")
+    return a
+
+
+def schur_form(a: np.ndarray) -> SchurForm:
+    """Complex Schur form of ``a`` (LAPACK zgees, no eigenvalue reordering)."""
+    a = _square(a)
+    if a.shape[0] == 0:
+        return SchurForm(a, a, a)
+    t, _, _, u, _, info = _lapack().zgees(lambda _: 0, a)
+    if info != 0:
+        raise EvaluationError(f"Schur factorization failed to converge (zgees info {info})")
+    return SchurForm(a, t, u)
+
+
+def _dense(m) -> np.ndarray:
+    return m.matrix if isinstance(m, SchurForm) else m
+
+
+def _factored(m: np.ndarray | SchurForm) -> SchurForm:
+    return m if isinstance(m, SchurForm) else schur_form(m)
 
 
 @dataclass(frozen=True)
@@ -36,15 +150,8 @@ class EquationSolution:
 
 
 def _equation_inputs(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    b = np.atleast_2d(np.asarray(b, dtype=complex))
+    a, b = _square(a), _square(b)
     c = np.atleast_2d(np.asarray(c, dtype=complex))
-    if a.size == 0:
-        a = a.reshape(0, 0)
-    if b.size == 0:
-        b = b.reshape(0, 0)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise StructureError(f"a and b must be square, got {a.shape} and {b.shape}")
     p, q = a.shape[0], b.shape[0]
     if c.size == 0 and (p == 0 or q == 0):
         c = np.zeros((p, q), dtype=complex)
@@ -53,18 +160,126 @@ def _equation_inputs(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, 
     return a, b, c, p, q
 
 
-def _solve_vectorized(m: np.ndarray, rhs: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Solve m vec(x) = rhs through the SVD, refusing ill-conditioned systems."""
-    u, sing, vh = np.linalg.svd(m)
-    smallest = float(sing[-1]) if sing.size else 0.0
-    if smallest == 0.0 or float(sing[0]) / smallest > CONDITION_LIMIT:
+def _trans(f: SchurForm, adjoint: bool) -> str:
+    """LAPACK ``trans`` flag applying op(t), or its adjoint when ``adjoint`` is set."""
+    return "C" if f.adjoint != adjoint else "N"
+
+
+def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, adjoint):
+    """Solve op(ta) y + y op(tb) = rhs, or its adjoint equation, with ztrsyl."""
+    y, scale, _ = _lapack().ztrsyl(
+        ta, tb, rhs, trana=_trans(fa, adjoint), tranb=_trans(fb, adjoint)
+    )
+    return y / scale
+
+
+def _norm_bound(t: np.ndarray) -> float:
+    """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
+    mag = np.abs(t)
+    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+
+
+def _sylvester_operator(fa: SchurForm, fb: SchurForm):
+    """2-norm bound of y -> op(ta) y + y op(tb) and a solver for it and its adjoint."""
+
+    def solve(rhs, adjoint=False):
+        return _trsyl(fa, fa.t, fb, fb.t, rhs, adjoint)
+
+    return _norm_bound(fa.t) + _norm_bound(fb.t), solve
+
+
+def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
+    """Unit-modulus s keeping -s off spec(op(ta)) and -conj(s) off spec(op(tb))."""
+    ea, eb = np.diag(fa.op()), np.diag(fb.op())
+    gaps = np.minimum(
+        np.abs(ea[None, :] + _CAYLEY_SHIFTS[:, None]).min(axis=1),
+        np.abs(eb[None, :] + _CAYLEY_SHIFTS.conj()[:, None]).min(axis=1),
+    )
+    return complex(_CAYLEY_SHIFTS[int(np.argmax(gaps))])
+
+
+def _shift_inverse(f: SchurForm, s: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley factor c with op(c) = (op(t) + s)^{-1}(op(t) - s), and (op(t) + s)^{-1} itself."""
+    inverse, info = _lapack().ztrtri(f.shifted(s))
+    if info != 0:
+        raise UnsolvableEquationError("shifted Schur factor is exactly singular", 0.0)
+    cayley = inverse @ f.shifted(-s)
+    return cayley, (inverse.conj().T if f.adjoint else inverse)
+
+
+def _stein_operator(fa: SchurForm, fb: SchurForm):
+    """2-norm bound of y -> y - op(ta) y op(tb) and a solver for it and its adjoint.
+
+    With A = (op(ta) + s)^{-1}(op(ta) - s) and B = (op(tb) + s̄)^{-1}(op(tb) - s̄),
+    both triangular, y - op(ta) y op(tb) = -2 (I - A)^{-1} (A y + y B) (I - B)^{-1},
+    so the Stein equation becomes A y + y B = -2 (op(ta) + s)^{-1} c (op(tb) + s̄)^{-1}.
+    s is the eighth root of unity whose negative lies farthest from both
+    spectra, so the two shifted factors are safely invertible.
+    """
+    s = _cayley_shift(fa, fb)
+    ca, ia = _shift_inverse(fa, s)
+    cb, ib = _shift_inverse(fb, np.conj(s))
+
+    def solve(rhs, adjoint=False):
+        if adjoint:
+            return -2.0 * (ia.conj().T @ _trsyl(fa, ca, fb, cb, rhs, True) @ ib.conj().T)
+        return _trsyl(fa, ca, fb, cb, -2.0 * (ia @ rhs @ ib), False)
+
+    return 1.0 + _norm_bound(fa.t) * _norm_bound(fb.t), solve
+
+
+def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
+    """Lower estimate of the 2-norm of the linear map ``solve``.
+
+    ``solve(r)`` applies the map and ``solve(r, True)`` its adjoint.  The
+    Hager/Higham 1-norm estimator (Hager 1984, Higham 1988; LAPACK zlacn2)
+    picks the input the map stretches most; one power step on its last
+    adjoint image then turns that into a 2-norm estimate, which is nearly
+    exact when the map is close to singular.  Every candidate is a ratio
+    attained by an actual vector, so the estimate never exceeds the norm.
+    """
+    size = shape[0] * shape[1]
+    y = solve(np.full(shape, 1.0 / size, dtype=complex))
+    est = float(np.abs(y).sum())
+    if size == 1:
+        return est
+    z = solve(np.exp(1j * np.angle(y)), True)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(1, _ESTIMATOR_ITERATIONS):
+        unit = np.zeros(shape, dtype=complex)
+        unit.flat[j] = 1.0
+        y = solve(unit)
+        previous, est = est, max(est, float(np.abs(y).sum()))
+        if est <= previous:
+            break
+        z = solve(np.exp(1j * np.angle(y)), True)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if abs(z.flat[j_last]) == abs(z.flat[j]):
+            break
+    alternating = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+    y = solve(alternating.reshape(shape, order="F").astype(complex))
+    est = max(est, 2.0 * float(np.abs(y).sum()) / (3.0 * size))
+    return max(est / np.sqrt(size), float(np.linalg.norm(solve(z)) / np.linalg.norm(z)))
+
+
+def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.ndarray:
+    """Solve L(x) = c for the triangular operator L in the Schur bases of fa and fb.
+
+    Refuses the solution when an upper bound on the operator's 2-norm times
+    the estimated 2-norm of its inverse exceeds ``CONDITION_LIMIT``.  Only
+    the zero operator has a zero bound; it is refused without estimating.
+    """
+    norm, solve = operator(fa, fb)
+    inverse_norm = _inverse_norm_estimate(solve, c.shape) if norm > 0.0 else np.inf
+    if not np.isfinite(inverse_norm) or norm * inverse_norm > CONDITION_LIMIT:
+        smallest = 1.0 / inverse_norm
         raise UnsolvableEquationError(
-            f"vectorized system is numerically singular "
-            f"(smallest singular value {smallest:.3e})",
+            f"equation is numerically singular "
+            f"(estimated smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    vec = vh.conj().T @ ((u.conj().T @ rhs) / sing)
-    return vec.reshape((p, q), order="F")
+    y = solve(fa.u.conj().T @ c @ fb.u)
+    return fa.u @ y @ fb.u.conj().T
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:
@@ -73,14 +288,14 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolu
     Unique solvability requires the spectra of ``a`` and ``-b`` to be
     disjoint, which holds in particular when both ``a`` and ``b`` are
     Hurwitz stable.  Either dimension may be zero, in which case the unique
-    empty solution is returned.
+    empty solution is returned.  ``a`` and ``b`` may be given as
+    ``SchurForm`` objects, whose factorizations are then reused.
     """
-    a, b, c, p, q = _equation_inputs(a, b, c)
+    fa, fb = a, b
+    a, b, c, p, q = _equation_inputs(_dense(a), _dense(b), c)
     if p == 0 or q == 0:
         return EquationSolution(np.zeros((p, q), dtype=complex), 0.0)
-    m = np.kron(np.eye(q), a) + np.kron(b.T, np.eye(p))
-    rhs = -c.reshape(-1, order="F")
-    x = _solve_vectorized(m, rhs, p, q)
+    x = _solve_gated(_factored(fa), _factored(fb), -c, _sylvester_operator)
     residual = opnorm(a @ x + x @ b + c)
     return EquationSolution(x, residual)
 
@@ -90,14 +305,13 @@ def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution
 
     Unique solvability requires that no product of an eigenvalue of ``a``
     with an eigenvalue of ``b`` equals one; both factors being Schur stable
-    guarantees this.
+    guarantees this.  ``a`` and ``b`` may be given as ``SchurForm`` objects.
     """
-    a, b, c, p, q = _equation_inputs(a, b, c)
+    fa, fb = a, b
+    a, b, c, p, q = _equation_inputs(_dense(a), _dense(b), c)
     if p == 0 or q == 0:
         return EquationSolution(np.zeros((p, q), dtype=complex), 0.0)
-    m = np.eye(p * q) - np.kron(b.T, a)
-    rhs = c.reshape(-1, order="F")
-    x = _solve_vectorized(m, rhs, p, q)
+    x = _solve_gated(_factored(fa), _factored(fb), c, _stein_operator)
     residual = opnorm(x - a @ x @ b - c)
     return EquationSolution(x, residual)
 
@@ -105,19 +319,22 @@ def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution
 def zeta_of_minus(a: np.ndarray) -> np.ndarray:
     """Evaluate the half-plane-to-disk map (1-s)/(1+s) at ``-a``.
 
-    Returns ``(I + a)(I - a)^{-1}``.  For Hurwitz-stable ``a`` every
-    eigenvalue lands strictly inside the unit disk.
+    Returns ``(I + a)(I - a)^{-1}``, computed as ``u (I - t)^{-1}(I + t) u*``
+    from the Schur form of ``a``; ``a`` may be given as a ``SchurForm``.
+    For Hurwitz-stable ``a`` every eigenvalue lands strictly inside the unit
+    disk.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.size == 0:
+    f = _factored(a)
+    if len(f) == 0:
         return np.zeros((0, 0), dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise StructureError(f"expected a square matrix, got {a.shape}")
-    eye = np.eye(a.shape[0])
-    if np.linalg.cond(eye - a) > CONDITION_LIMIT:
+    eye = np.eye(len(f))
+    # sqrt(kappa_1 kappa_inf) bounds the 2-norm condition number of I - a from above.
+    rcond = np.sqrt(np.prod([_lapack().ztrcon(eye - f.t, norm=norm)[0] for norm in "1I"]))
+    if rcond * CONDITION_LIMIT < 1.0:
         raise EvaluationError("an eigenvalue of a is too close to 1; the map has a pole there")
-    # (I - a) and (I + a) commute, so this equals (I + a)(I - a)^{-1}.
-    return np.linalg.solve(eye - a, eye + a)
+    # (I - t) and (I + t) commute, so this equals u (I + t)(I - t)^{-1} u*.
+    y, _ = _lapack().ztrtrs(eye - f.t, eye + f.op(), trans=2 if f.adjoint else 0)
+    return f.u @ y @ f.u.conj().T
 
 
 def eigenvalue_one_multiplicity(

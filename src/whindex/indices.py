@@ -35,7 +35,9 @@ from .core import (
 )
 from .equations import (
     CLUSTER_TOL,
+    SchurForm,
     eigenvalue_one_multiplicity,
+    schur_form,
     solve_stein,
     solve_sylvester,
     zeta_of_minus,
@@ -124,17 +126,28 @@ def _kernel_dimension_chain(
     return dims, eigenvalues
 
 
+def _schur_forms(v: Realization, w: Realization) -> tuple[SchurForm, SchurForm]:
+    """Schur forms of a_v and a_w, shared by every solve of one profile."""
+    return schur_form(v.a), schur_form(w.a)
+
+
 def negative_profile(
-    pair: SymbolPair, tol: float = CLUSTER_TOL
+    pair: SymbolPair, tol: float = CLUSTER_TOL,
+    schur: Optional[tuple[SchurForm, SchurForm]] = None,
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Run the negative-index pipeline; returns (trace, mu, kappa)."""
+    """Run the negative-index pipeline; returns (trace, mu, kappa).
+
+    ``schur`` optionally holds the Schur forms of a_v and a_w; both
+    Sylvester solves and the disk map reuse them.
+    """
     _validated(pair)
     v, w = pair.v, pair.w
-    omega_sol = solve_sylvester(v.a, w.a.conj().T, v.b @ w.b.conj().T)
+    sv, sw = schur if schur is not None else _schur_forms(v, w)
+    omega_sol = solve_sylvester(sv, sw.H, v.b @ w.b.conj().T)
     c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x
-    q_sol = solve_sylvester(w.a, w.a.conj().T, c_circ.conj().T @ c_circ)
+    q_sol = solve_sylvester(sw, sw.H, c_circ.conj().T @ c_circ)
     q = hermitize(q_sol.x)
-    m = zeta_of_minus(w.a)
+    m = zeta_of_minus(sw)
     dims, eigenvalues = _kernel_dimension_chain(q, m, tol, cap=w.state_dim + 1)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     kappa = _counts_from_mu(mu)
@@ -150,7 +163,8 @@ def negative_profile(
 
 
 def positive_profile(
-    pair: SymbolPair, tol: float = CLUSTER_TOL
+    pair: SymbolPair, tol: float = CLUSTER_TOL,
+    schur: Optional[tuple[SchurForm, SchurForm]] = None,
 ) -> tuple[PipelineTrace, list[int], list[int]]:
     """Run the positive-index pipeline; returns (trace, nu, omega_counts).
 
@@ -158,9 +172,10 @@ def positive_profile(
     symbol W V*, so this is the same pipeline applied to the swapped pair:
     omega_dual solves a_w x + x a_v* + b_w b_v* = 0, the dual c_circ is
     d_w b_v* + c_w omega_dual, and the dual Q lives on the V state space
-    with iteration map built from -a_v.
+    with iteration map built from -a_v.  ``schur`` is ordered (a_v, a_w) as
+    for ``negative_profile``.
     """
-    return negative_profile(pair.swapped(), tol)
+    return negative_profile(pair.swapped(), tol, schur[::-1] if schur is not None else None)
 
 
 def discrete_negative_profile(
@@ -186,9 +201,10 @@ def discrete_negative_profile(
         raise InputValidationError(
             f"factor output dimensions differ: {v.output_dim} vs {w.output_dim}"
         )
-    omega_sol = solve_stein(v.a, w.a.conj().T, v.b @ w.b.conj().T)
+    sv, sw = _schur_forms(v, w)
+    omega_sol = solve_stein(sv, sw.H, v.b @ w.b.conj().T)
     c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x @ w.a.conj().T
-    q_sol = solve_stein(w.a, w.a.conj().T, c_circ.conj().T @ c_circ)
+    q_sol = solve_stein(sw, sw.H, c_circ.conj().T @ c_circ)
     q = hermitize(q_sol.x)
     dims, eigenvalues = _kernel_dimension_chain(q, w.a, tol, cap=w.state_dim + 1)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
@@ -253,8 +269,9 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     the conjugate transpose of omega, and the unit multiplicities must
     balance the state dimensions on both sides.
     """
-    negative_trace, mu, kappa = negative_profile(pair, tol)
-    positive_trace, nu, omegas = positive_profile(pair, tol)
+    schur = _schur_forms(pair.v, pair.w)
+    negative_trace, mu, kappa = negative_profile(pair, tol, schur)
+    positive_trace, nu, omegas = positive_profile(pair, tol, schur)
     m = pair.output_dim
     p, q_count = len(kappa), len(omegas)
     if p + q_count > m:

@@ -1,0 +1,208 @@
+"""Schur-based solvers checked side by side against the dense Kronecker/SVD oracle."""
+
+import importlib.machinery
+
+import numpy as np
+import pytest
+import scipy.linalg.lapack
+
+import kronecker_oracle as kron
+from whindex import (
+    EvaluationError,
+    UnsolvableEquationError,
+    diagonal_symbol_factors,
+    full_profile,
+    solve_stein,
+    solve_sylvester,
+    zeta_of_minus,
+)
+from whindex.core import opnorm
+from whindex import equations
+from whindex.equations import CONDITION_LIMIT, SOLVE_TOL, schur_form
+from whindex.sampling import random_hurwitz_matrix, random_schur_matrix
+
+#: Resonance gaps of the side-by-side gate sweep, 1e-6 down to 1e-14.
+GAPS = [10.0 ** -e for e in range(6, 15)]
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _with_spectrum(rng, eigenvalues, coupling):
+    """Unitarily rotated upper triangular matrix with the given diagonal."""
+    n = len(eigenvalues)
+    t = np.diag(eigenvalues) + coupling * np.triu(_complex_normal(rng, (n, n)), 1)
+    u, _ = np.linalg.qr(_complex_normal(rng, (n, n)))
+    return u @ t @ u.conj().T
+
+
+def _resonant_case(rng, kind, gap):
+    """(a, b, c) with one eigenvalue pair at distance ``gap`` from resonance.
+
+    For ``kind == "sylvester"`` an eigenvalue of b sits ``gap`` away from
+    minus an eigenvalue of a; for ``"stein"`` a product of eigenvalues of a
+    and b sits ``gap`` away from 1.
+    """
+    p, q = (int(n) for n in rng.integers(1, 13, size=2))
+    coupling = (0.0, 0.3, 1.0, 3.0)[rng.integers(4)]
+    phase = np.exp(2j * np.pi * rng.uniform())
+    if kind == "sylvester":
+        la = -rng.uniform(0.1, 3.0, p) + 1j * rng.uniform(-3.0, 3.0, p)
+        lb = -rng.uniform(0.1, 3.0, q) + 1j * rng.uniform(-3.0, 3.0, q)
+        lb[0] = -la[0] + gap * phase
+    else:
+        la = rng.uniform(0.1, 0.99, p) * np.exp(2j * np.pi * rng.uniform(size=p))
+        lb = rng.uniform(0.1, 0.99, q) * np.exp(2j * np.pi * rng.uniform(size=q))
+        la[0] = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        lb[0] = (1.0 + gap * phase) / la[0]
+    a = _with_spectrum(rng, la, coupling)
+    b = _with_spectrum(rng, lb, coupling)
+    return a, b, _complex_normal(rng, (p, q))
+
+
+def gate_side_by_side(seed, cases_per_gap):
+    """Refusal counts of the Kronecker gate and the Schur gate over a resonance sweep.
+
+    Returns ``{(kind, refused_by_kronecker, refused_by_schur): count}`` and
+    the refused cases' smallest_singular_value estimates.
+    """
+    rng = np.random.default_rng(seed)
+    counts, smallest = {}, []
+    for kind, solve, oracle in (
+        ("sylvester", solve_sylvester, kron.solve_sylvester),
+        ("stein", solve_stein, kron.solve_stein),
+    ):
+        for gap in GAPS:
+            for _ in range(cases_per_gap):
+                a, b, c = _resonant_case(rng, kind, gap)
+                try:
+                    oracle(a, b, c)
+                    old = False
+                except kron.Refused:
+                    old = True
+                try:
+                    solve(a, b, c)
+                    new = False
+                except UnsolvableEquationError as exc:
+                    new = True
+                    smallest.append(exc.smallest_singular_value)
+                counts[(kind, old, new)] = counts.get((kind, old, new), 0) + 1
+    return counts, smallest
+
+
+def test_sylvester_matches_kronecker_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        p, q = (int(n) for n in rng.integers(1, 13, size=2))
+        a, b = random_hurwitz_matrix(rng, p), random_hurwitz_matrix(rng, q)
+        c = _complex_normal(rng, (p, q))
+        x = solve_sylvester(a, b, c).x
+        reference = kron.solve_sylvester(a, b, c)
+        assert opnorm(x - reference) <= 1e-10 * opnorm(reference)
+
+
+def test_stein_matches_kronecker_oracle():
+    rng = np.random.default_rng(2025)
+    for _ in range(30):
+        p, q = (int(n) for n in rng.integers(1, 13, size=2))
+        a, b = random_schur_matrix(rng, p), random_schur_matrix(rng, q)
+        c = _complex_normal(rng, (p, q))
+        x = solve_stein(a, b, c).x
+        reference = kron.solve_stein(a, b, c)
+        assert opnorm(x - reference) <= 1e-10 * opnorm(reference)
+
+
+def test_shared_schur_forms_match_kronecker_oracle():
+    # The pipelines pass one factorization for a matrix and for its adjoint.
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        p, q = (int(n) for n in rng.integers(1, 13, size=2))
+        a, w = random_hurwitz_matrix(rng, p), random_hurwitz_matrix(rng, q)
+        fa, fw = schur_form(a), schur_form(w)
+        c = _complex_normal(rng, (p, q))
+        x = solve_sylvester(fa, fw.H, c).x
+        reference = kron.solve_sylvester(a, w.conj().T, c)
+        assert opnorm(x - reference) <= 1e-10 * opnorm(reference)
+        ad, wd = random_schur_matrix(rng, p), random_schur_matrix(rng, q)
+        x = solve_stein(schur_form(ad).H, schur_form(wd).H, c).x
+        reference = kron.solve_stein(ad.conj().T, wd.conj().T, c)
+        assert opnorm(x - reference) <= 1e-10 * opnorm(reference)
+
+
+def test_stein_with_eigenvalue_minus_one():
+    # -1 in spec(a) rules out the plain Cayley parameter; another one is used.
+    a = np.diag([-1.0, 0.5])
+    b = np.diag([0.5, -0.25])
+    c = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = solve_stein(a, b, c).x
+    assert opnorm(x - kron.solve_stein(a, b, c)) < 1e-12
+
+
+def test_schur_gate_refuses_every_case_the_kronecker_gate_refuses():
+    counts, smallest = gate_side_by_side(seed=11, cases_per_gap=8)
+    for kind in ("sylvester", "stein"):
+        assert counts.get((kind, True, False), 0) == 0
+        # The sweep straddles the limit: both gates accept some cases and refuse others.
+        assert counts.get((kind, True, True), 0) > 0
+        assert counts.get((kind, False, False), 0) > 0
+    assert all(0.0 <= s < 1e-5 for s in smallest)
+
+
+def test_zeta_pole_check_refuses_every_case_the_dense_check_refuses():
+    rng = np.random.default_rng(12)
+    refused = {(True, True): 0, (False, False): 0}
+    for gap in GAPS:
+        for _ in range(12):
+            n = int(rng.integers(1, 13))
+            eigenvalues = -rng.uniform(0.1, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+            eigenvalues[0] = 1.0 + gap * np.exp(2j * np.pi * rng.uniform())
+            a = _with_spectrum(rng, eigenvalues, (0.0, 0.3, 1.0, 3.0)[rng.integers(4)])
+            old = np.linalg.cond(np.eye(n) - a) > CONDITION_LIMIT
+            try:
+                zeta_of_minus(a)
+                new = False
+            except EvaluationError:
+                new = True
+            assert new or not old
+            if new == old:
+                refused[(old, new)] += 1
+    assert refused[(True, True)] > 0 and refused[(False, False)] > 0
+
+
+def test_zeta_of_minus_from_shared_schur_form_matches_dense_formula():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n = int(rng.integers(1, 13))
+        a = random_hurwitz_matrix(rng, n)
+        dense = np.linalg.solve(np.eye(n) - a, np.eye(n) + a)
+        assert opnorm(zeta_of_minus(schur_form(a)) - dense) < 1e-12 * (1 + opnorm(dense))
+        assert opnorm(zeta_of_minus(a) - dense) < 1e-12 * (1 + opnorm(dense))
+
+
+def test_stein_residual_at_state_dimension_48():
+    rng = np.random.default_rng(48)
+    a, b = random_schur_matrix(rng, 48), random_schur_matrix(rng, 48)
+    c = _complex_normal(rng, (48, 48))
+    sol = solve_stein(a, b, c)
+    scale = opnorm(sol.x) + opnorm(a) * opnorm(sol.x) * opnorm(b) + opnorm(c)
+    assert sol.residual <= SOLVE_TOL * scale
+
+
+def test_full_profile_at_power_64():
+    # 4096 x 4096 complex Kronecker systems (268 MB each) put this out of reach of dense solvers.
+    assert full_profile(diagonal_symbol_factors([-64, 64])).all_indices == (-64, 64)
+
+
+def test_vanishing_sylvester_operator_is_refused():
+    # With a = b = 0 the operator itself is zero, so its norm cannot scale the gate.
+    with pytest.raises(UnsolvableEquationError) as info:
+        solve_sylvester(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+    assert info.value.smallest_singular_value < 1e-12
+
+
+def test_lapack_wrappers_load_with_or_without_the_scipy_linalg_package(monkeypatch):
+    assert equations._lapack.__wrapped__().ztrsyl.__doc__ == scipy.linalg.lapack.ztrsyl.__doc__
+    # Where the extension file cannot be found, the package import is used instead.
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    assert equations._lapack.__wrapped__() is scipy.linalg.lapack
