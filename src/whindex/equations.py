@@ -338,32 +338,39 @@ def zeta_of_minus(a: np.ndarray) -> np.ndarray:
 
 
 def eigenvalue_one_multiplicity(
-    h: np.ndarray, tol: float = CLUSTER_TOL
-) -> tuple[int, np.ndarray]:
+    h: np.ndarray, tol: float = CLUSTER_TOL, *, basis: bool = False
+) -> tuple[int, np.ndarray] | tuple[int, np.ndarray, np.ndarray]:
     """Count eigenvalues of a Hermitian contraction clustered at 1.
 
     ``h`` is symmetrized before the eigendecomposition; inputs further than
     1e-10 from Hermitian are rejected.  Returns the count of eigenvalues
     ``>= 1 - tol`` together with the full ascending eigenvalue list, and
     raises if any eigenvalue exceeds ``1 + tol`` (the input was not the
-    contraction the pipeline promised).
+    contraction the pipeline promised).  With ``basis`` set, a third item
+    holds orthonormal eigenvectors of the counted eigenvalues, taken from
+    the same eigendecomposition.
     """
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     if h.size == 0:
-        return 0, np.zeros(0)
+        evals, evecs = np.zeros(0), np.zeros((0, 0), dtype=complex)
+        return (0, evals, evecs) if basis else (0, evals)
     if h.shape[0] != h.shape[1]:
         raise StructureError(f"expected a square matrix, got {h.shape}")
     asym = opnorm(h - h.conj().T)
     if asym > 1e-10 * (1.0 + opnorm(h)):
         raise StructureError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    evals = np.linalg.eigvalsh(hermitize(h))
+    if basis:
+        evals, evecs = np.linalg.eigh(hermitize(h))
+    else:
+        evals = np.linalg.eigvalsh(hermitize(h))
     top = float(evals[-1])
     if top > 1.0 + tol:
         raise ContractionViolationError(
             f"eigenvalue {top!r} exceeds 1 beyond tolerance {tol}", eigenvalue=top
         )
-    count = int(np.count_nonzero(evals >= 1.0 - tol))
-    return count, evals
+    keep = evals >= 1.0 - tol
+    count = int(np.count_nonzero(keep))
+    return (count, evals, evecs[:, keep]) if basis else (count, evals)
 
 
 def unit_eigenvectors(h: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:

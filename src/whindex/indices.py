@@ -15,6 +15,19 @@ kappa_j = #{k : mu_k >= j}.  The positive indices come from the same
 pipeline applied to the swapped pair (W, V).  A discrete-time variant
 replaces the two continuous equations by their fixed-point forms and uses
 a_w itself as the iteration map.
+
+No power of M is formed.  Because M and Q are contractions, the unit
+eigenspace N_k of M^k Q M*^k obeys the one-step recursion
+
+    N_0 = ker(I - Q),    N_{k+1} = {x : |M* x| = |x| and M* x in N_k}.
+
+Indeed, for a positive contraction P the unit eigenspace of M P M* is the
+set of x with |M* x| = |x| and M* x in the unit eigenspace of P, and
+M^{k+1} Q M*^{k+1} = M (M^k Q M*^k) M* has the same unit eigenspace as
+M P_k M* with P_k the orthogonal projector onto N_k.  With B_k an
+orthonormal basis of N_k, N_{k+1} is spanned by the left singular vectors
+of the n x d_k matrix M B_k whose singular values are 1, so each step costs
+one product with M and an eigendecomposition of a d_k x d_k Gram matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .core import (
 )
 from .equations import (
     CLUSTER_TOL,
+    EquationSolution,
     SchurForm,
     eigenvalue_one_multiplicity,
     schur_form,
@@ -93,64 +107,67 @@ def _counts_from_mu(mu: list[int]) -> list[int]:
     return [sum(1 for m in mu if m >= j) for j in range(1, mu[0] + 1)]
 
 
+def _unit_image(m: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the unit eigenspace of (m B)(m B)* for orthonormal B.
+
+    The singular values of m B come from one eigendecomposition of the
+    d x d Gram matrix; the left singular vectors with sigma^2 >= 1 - tol
+    are m B w / sigma.  Since m is a contraction, sigma^2 > 1 + tol means
+    the pipeline's promise was broken.
+    """
+    image = m @ basis
+    sigma2, right = np.linalg.eigh(hermitize(image.conj().T @ image))
+    top = float(sigma2[-1])
+    if top > 1.0 + tol:
+        raise ContractionViolationError(
+            f"iteration map stretches the unit subspace by {top!r} beyond tolerance {tol}",
+            eigenvalue=top,
+        )
+    keep = sigma2 >= 1.0 - tol
+    return image @ (right[:, keep] / np.sqrt(sigma2[keep]))
+
+
 def _kernel_dimension_chain(
     q: np.ndarray, m: np.ndarray, tol: float, cap: int
 ) -> tuple[list[int], np.ndarray]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
-    The product is accumulated by repeated conjugation with re-Hermitization
-    each step, which suppresses drift caused by the non-normality of M.
-    The chain must be strictly decreasing; anything else means the input was
-    not a genuine unimodular symbol pair at this tolerance.
+    Step 0 counts the unit eigenvalues of Q and takes an orthonormal basis
+    of their eigenspace from the same eigendecomposition; every later step
+    maps the basis by M and keeps its isometric part (``_unit_image``).
+    Returns the chain and the eigenvalues of Q.  The chain must be strictly
+    decreasing; anything else means the input was not a genuine unimodular
+    symbol pair at this tolerance.
     """
-    count, eigenvalues = eigenvalue_one_multiplicity(q, tol)
+    count, eigenvalues, basis = eigenvalue_one_multiplicity(q, tol, basis=True)
     if eigenvalues.size and float(eigenvalues[0]) < -tol:
         raise ContractionViolationError(
             f"Q has a negative eigenvalue {float(eigenvalues[0])!r} beyond tolerance",
             eigenvalue=float(eigenvalues[0]),
         )
     dims = [count]
-    current = q
     while dims[-1] > 0:
         if len(dims) > cap:
             raise PipelineError(
                 f"kernel dimensions failed to reach zero within {cap} steps: {dims}"
             )
-        current = hermitize(m @ current @ m.conj().T)
-        next_count, _ = eigenvalue_one_multiplicity(current, tol)
-        if next_count >= dims[-1]:
+        basis = _unit_image(m, basis, tol)
+        if basis.shape[1] >= dims[-1]:
             raise PipelineError(
-                f"kernel dimensions are not strictly decreasing: {dims + [next_count]}"
+                f"kernel dimensions are not strictly decreasing: {dims + [basis.shape[1]]}"
             )
-        dims.append(next_count)
+        dims.append(basis.shape[1])
     return dims, eigenvalues
 
 
-def _schur_forms(v: Realization, w: Realization) -> tuple[SchurForm, SchurForm]:
-    """Schur forms of a_v and a_w, shared by every solve of one profile."""
-    return schur_form(v.a), schur_form(w.a)
-
-
-def negative_profile(
-    pair: SymbolPair, tol: float = CLUSTER_TOL,
-    schur: Optional[tuple[SchurForm, SchurForm]] = None,
+def _chain_trace(
+    omega_sol: EquationSolution, c_circ: np.ndarray, q_sol: EquationSolution,
+    m: np.ndarray, tol: float,
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Run the negative-index pipeline; returns (trace, mu, kappa).
-
-    ``schur`` optionally holds the Schur forms of a_v and a_w; both
-    Sylvester solves and the disk map reuse them.
-    """
-    _validated(pair)
-    v, w = pair.v, pair.w
-    sv, sw = schur if schur is not None else _schur_forms(v, w)
-    omega_sol = solve_sylvester(sv, sw.H, v.b @ w.b.conj().T)
-    c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x
-    q_sol = solve_sylvester(sw, sw.H, c_circ.conj().T @ c_circ)
+    """Run the kernel chain on the solved Q with iteration map ``m``; returns (trace, mu, kappa)."""
     q = hermitize(q_sol.x)
-    m = zeta_of_minus(sw)
-    dims, eigenvalues = _kernel_dimension_chain(q, m, tol, cap=w.state_dim + 1)
+    dims, eigenvalues = _kernel_dimension_chain(q, m, tol, cap=len(m) + 1)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
-    kappa = _counts_from_mu(mu)
     trace = PipelineTrace(
         omega=omega_sol.x,
         c_circ=c_circ,
@@ -159,12 +176,35 @@ def negative_profile(
         residuals={"omega": omega_sol.residual, "q": q_sol.residual},
         q_eigenvalues=eigenvalues,
     )
-    return trace, mu, kappa
+    return trace, mu, _counts_from_mu(mu)
+
+
+def _schur_forms(v: Realization, w: Realization) -> tuple[SchurForm, SchurForm]:
+    """Schur forms of a_v and a_w, shared by every solve of one profile."""
+    return schur_form(v.a), schur_form(w.a)
+
+
+def _negative(
+    pair: SymbolPair, tol: float, sv: SchurForm, sw: SchurForm
+) -> tuple[PipelineTrace, list[int], list[int]]:
+    """Negative-index pipeline on validated factors with Schur forms ``sv``, ``sw``."""
+    v, w = pair.v, pair.w
+    omega_sol = solve_sylvester(sv, sw.H, v.b @ w.b.conj().T)
+    c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x
+    q_sol = solve_sylvester(sw, sw.H, c_circ.conj().T @ c_circ)
+    return _chain_trace(omega_sol, c_circ, q_sol, zeta_of_minus(sw), tol)
+
+
+def negative_profile(
+    pair: SymbolPair, tol: float = CLUSTER_TOL
+) -> tuple[PipelineTrace, list[int], list[int]]:
+    """Run the negative-index pipeline; returns (trace, mu, kappa)."""
+    _validated(pair)
+    return _negative(pair, tol, *_schur_forms(pair.v, pair.w))
 
 
 def positive_profile(
-    pair: SymbolPair, tol: float = CLUSTER_TOL,
-    schur: Optional[tuple[SchurForm, SchurForm]] = None,
+    pair: SymbolPair, tol: float = CLUSTER_TOL
 ) -> tuple[PipelineTrace, list[int], list[int]]:
     """Run the positive-index pipeline; returns (trace, nu, omega_counts).
 
@@ -172,10 +212,9 @@ def positive_profile(
     symbol W V*, so this is the same pipeline applied to the swapped pair:
     omega_dual solves a_w x + x a_v* + b_w b_v* = 0, the dual c_circ is
     d_w b_v* + c_w omega_dual, and the dual Q lives on the V state space
-    with iteration map built from -a_v.  ``schur`` is ordered (a_v, a_w) as
-    for ``negative_profile``.
+    with iteration map built from -a_v.
     """
-    return negative_profile(pair.swapped(), tol, schur[::-1] if schur is not None else None)
+    return negative_profile(pair.swapped(), tol)
 
 
 def discrete_negative_profile(
@@ -205,19 +244,7 @@ def discrete_negative_profile(
     omega_sol = solve_stein(sv, sw.H, v.b @ w.b.conj().T)
     c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x @ w.a.conj().T
     q_sol = solve_stein(sw, sw.H, c_circ.conj().T @ c_circ)
-    q = hermitize(q_sol.x)
-    dims, eigenvalues = _kernel_dimension_chain(q, w.a, tol, cap=w.state_dim + 1)
-    mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
-    kappa = _counts_from_mu(mu)
-    trace = PipelineTrace(
-        omega=omega_sol.x,
-        c_circ=c_circ,
-        q=q,
-        kernel_dims=tuple(dims),
-        residuals={"omega": omega_sol.residual, "q": q_sol.residual},
-        q_eigenvalues=eigenvalues,
-    )
-    return trace, mu, kappa
+    return _chain_trace(omega_sol, c_circ, q_sol, w.a, tol)
 
 
 def _cluster_margin(eigenvalues: np.ndarray, tol: float) -> Optional[float]:
@@ -265,13 +292,15 @@ def _margin_slack(eigenvalues: np.ndarray, tol: float) -> int:
 def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     """Run both pipelines and assemble the complete index profile.
 
-    Cross-checks the two runs against each other: the dual trace must carry
-    the conjugate transpose of omega, and the unit multiplicities must
-    balance the state dimensions on both sides.
+    Each factor is validated and brought to Schur form once, and both
+    pipelines share the result.  Cross-checks the two runs against each
+    other: the dual trace must carry the conjugate transpose of omega, and
+    the unit multiplicities must balance the state dimensions on both sides.
     """
-    schur = _schur_forms(pair.v, pair.w)
-    negative_trace, mu, kappa = negative_profile(pair, tol, schur)
-    positive_trace, nu, omegas = positive_profile(pair, tol, schur)
+    _validated(pair)
+    sv, sw = _schur_forms(pair.v, pair.w)
+    negative_trace, mu, kappa = _negative(pair, tol, sv, sw)
+    positive_trace, nu, omegas = _negative(pair.swapped(), tol, sw, sv)
     m = pair.output_dim
     p, q_count = len(kappa), len(omegas)
     if p + q_count > m:
