@@ -4,6 +4,12 @@ The maps below implement the change of variable z = (1-s)/(1+s) at the
 realization level.  They are exact inverses of each other, take stable
 unitary quadruples to stable dissipative ones and back, and map the state
 matrix spectrum by lambda -> (1+lambda)/(1-lambda).
+
+Both are one signed map built on the disk map ``zeta_of_minus``.  With
+M = (I - a)^{-1}(I + a), the resolvent is (I - a)^{-1} = (I + M)/2, since
+(I - a) + (I + a) = 2I; so c2d needs M and nothing else.  d2c is the same
+map applied to -a with the signs of the state matrix and the feedthrough
+correction flipped.  The pole check of ``zeta_of_minus`` is the only one.
 """
 
 from __future__ import annotations
@@ -13,15 +19,33 @@ import math
 import numpy as np
 
 from .core import CONTINUOUS, DISCRETE, Realization
-from .equations import CONDITION_LIMIT
+from .equations import zeta_of_minus
 from .errors import EvaluationError, StructureError
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_shift(shift: np.ndarray, what: str) -> None:
-    if shift.size and np.linalg.cond(shift) > CONDITION_LIMIT:
-        raise EvaluationError(f"{what} is numerically singular; an eigenvalue sits at the map's pole")
+def _signed_map(r: Realization, sign: float, flavor: str) -> Realization:
+    """Apply a -> sign M, b -> sqrt(2) R b, c -> sqrt(2) c R, d -> d + sign c R b.
+
+    Here M = zeta_of_minus(sign a) and R = (I + M)/2 = (I - sign a)^{-1}.
+    """
+    try:
+        m = zeta_of_minus(sign * r.a)
+    except EvaluationError:
+        raise EvaluationError(
+            f"I {'-' if sign > 0 else '+'} a is numerically singular; "
+            f"an eigenvalue of a sits at the map's pole {sign:+.0f}"
+        ) from None
+    resolvent = 0.5 * (np.eye(r.state_dim) + m)
+    shifted_b = resolvent @ r.b
+    return Realization(
+        sign * m,
+        _SQRT2 * shifted_b,
+        _SQRT2 * (r.c @ resolvent),
+        r.d + sign * (r.c @ shifted_b),
+        flavor,
+    )
 
 
 def d2c(r: Realization) -> Realization:
@@ -33,17 +57,7 @@ def d2c(r: Realization) -> Realization:
     """
     if r.flavor != DISCRETE:
         raise StructureError("d2c expects a discrete realization")
-    eye = np.eye(r.state_dim)
-    shift = eye + r.a
-    _check_shift(shift, "I + a")
-    if r.state_dim == 0:
-        return Realization(r.a, r.b, r.c, r.d, CONTINUOUS)
-    a = np.linalg.solve(shift.T, (r.a - eye).T).T
-    shifted_b = np.linalg.solve(shift, r.b)
-    b = _SQRT2 * shifted_b
-    c = _SQRT2 * np.linalg.solve(shift.T, r.c.T).T
-    d = r.d - r.c @ shifted_b
-    return Realization(a, b, c, d, CONTINUOUS)
+    return _signed_map(r, -1.0, CONTINUOUS)
 
 
 def c2d(r: Realization) -> Realization:
@@ -55,14 +69,4 @@ def c2d(r: Realization) -> Realization:
     """
     if r.flavor != CONTINUOUS:
         raise StructureError("c2d expects a continuous realization")
-    eye = np.eye(r.state_dim)
-    shift = eye - r.a
-    _check_shift(shift, "I - a")
-    if r.state_dim == 0:
-        return Realization(r.a, r.b, r.c, r.d, DISCRETE)
-    a = np.linalg.solve(shift, r.a + eye)
-    shifted_b = np.linalg.solve(shift, r.b)
-    b = _SQRT2 * shifted_b
-    c = _SQRT2 * np.linalg.solve(shift.T, r.c.T).T
-    d = r.d + r.c @ shifted_b
-    return Realization(a, b, c, d, DISCRETE)
+    return _signed_map(r, 1.0, DISCRETE)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 malformed input or failed input validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ from .core import (
     DISCRETE,
     Realization,
     SymbolPair,
-    ValidationReport,
     validate_stable_dissipative,
     validate_stable_unitary,
 )
@@ -188,18 +188,6 @@ def cmd_indices(args) -> int:
     return EXIT_OK
 
 
-def _validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "stable": report.stable,
-        "dissipative_residual": report.dissipative_residual,
-        "feedthrough_unitarity_residual": report.feedthrough_unitarity_residual,
-        "coupling_residual": report.coupling_residual,
-        "verdict": report.verdict,
-        "near_marginal": report.near_marginal,
-        "system_unitarity_residual": report.system_unitarity_residual,
-    }
-
-
 def cmd_cayley(args) -> int:
     r = realization_from_json(_load_json(args.realization), "realization")
     if args.direction == "c2d":
@@ -214,7 +202,7 @@ def cmd_cayley(args) -> int:
         validation = validate_stable_dissipative(out)
     payload = {
         "realization": realization_to_json(out),
-        "validation": _validation_to_json(validation),
+        "validation": dataclasses.asdict(validation),
     }
     _emit(canonical_json(payload), args.output)
     return EXIT_OK

@@ -337,6 +337,21 @@ def zeta_of_minus(a: np.ndarray) -> np.ndarray:
     return f.u @ y @ f.u.conj().T
 
 
+def _unit_cut(evals: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the ascending, non-empty eigenvalues of a Hermitian contraction that count as 1.
+
+    An eigenvalue counts when it is ``>= 1 - tol``; one above ``1 + tol``
+    means the matrix was not the contraction the pipeline promised, and
+    raises ``ContractionViolationError``.
+    """
+    top = float(evals[-1])
+    if top > 1.0 + tol:
+        raise ContractionViolationError(
+            f"eigenvalue {top!r} exceeds 1 beyond tolerance {tol}", eigenvalue=top
+        )
+    return evals >= 1.0 - tol
+
+
 def eigenvalue_one_multiplicity(
     h: np.ndarray, tol: float = CLUSTER_TOL, *, basis: bool = False
 ) -> tuple[int, np.ndarray] | tuple[int, np.ndarray, np.ndarray]:
@@ -363,25 +378,16 @@ def eigenvalue_one_multiplicity(
         evals, evecs = np.linalg.eigh(hermitize(h))
     else:
         evals = np.linalg.eigvalsh(hermitize(h))
-    top = float(evals[-1])
-    if top > 1.0 + tol:
-        raise ContractionViolationError(
-            f"eigenvalue {top!r} exceeds 1 beyond tolerance {tol}", eigenvalue=top
-        )
-    keep = evals >= 1.0 - tol
+    keep = _unit_cut(evals, tol)
     count = int(np.count_nonzero(keep))
     return (count, evals, evecs[:, keep]) if basis else (count, evals)
 
 
 def unit_eigenvectors(h: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
-    """Orthonormal eigenvectors of a Hermitian matrix with eigenvalue in [1-tol, 1+tol].
+    """Orthonormal eigenvectors of a Hermitian contraction with eigenvalue in [1-tol, 1+tol].
 
     Columns of the returned matrix span the clustered unit eigenspace; the
-    matrix has zero columns when the cluster is empty.
+    matrix has zero columns when the cluster is empty.  The checks and the
+    cut are those of ``eigenvalue_one_multiplicity``.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    if h.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    evals, evecs = np.linalg.eigh(hermitize(h))
-    keep = evals >= 1.0 - tol
-    return evecs[:, keep]
+    return eigenvalue_one_multiplicity(h, tol, basis=True)[2]

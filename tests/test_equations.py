@@ -11,6 +11,7 @@ from whindex import (
     eigenvalue_one_multiplicity,
     solve_stein,
     solve_sylvester,
+    unit_eigenvectors,
     zeta_of_minus,
     zeta_power_realization,
 )
@@ -117,6 +118,20 @@ def test_eigenvalue_one_multiplicity_contract_violation():
     with pytest.raises(ContractionViolationError) as info:
         eigenvalue_one_multiplicity(np.diag([1.1, 0.2]), 1e-7)
     assert info.value.eigenvalue > 1.05
+
+
+def test_unit_eigenvectors_refuses_an_eigenvalue_above_the_band():
+    with pytest.raises(ContractionViolationError) as info:
+        unit_eigenvectors(np.diag([1.5, 1.0, 0.2]))
+    assert info.value.eigenvalue == 1.5
+
+
+def test_unit_eigenvectors_share_the_cut_of_the_multiplicity():
+    h = np.diag([1.0 + 0.5e-7, 1.0 - 0.5e-7, 1.0 - 2e-7, 0.3])
+    count, _ = eigenvalue_one_multiplicity(h, 1e-7)
+    basis = unit_eigenvectors(h, 1e-7)
+    assert count == basis.shape[1] == 2
+    assert opnorm(basis.conj().T @ basis - np.eye(2)) < 1e-14
 
 
 def test_eigenvalue_one_multiplicity_rejects_non_hermitian():

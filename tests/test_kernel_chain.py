@@ -1,9 +1,11 @@
 """Kernel chain by one-step subspace recursion, checked against the matrix-power reference."""
 
 import numpy as np
+import pytest
 
 import chain_oracle
 from whindex import (
+    ContractionViolationError,
     PipelineError,
     SymbolPair,
     blaschke_realization,
@@ -82,6 +84,13 @@ def test_chain_bases_stay_orthonormal_at_k128():
         dims.append(basis.shape[1])
     assert tuple(dims) == trace.kernel_dims == tuple(range(128, -1, -1))
     assert worst <= 1e-12
+
+
+def test_chain_step_refuses_a_stretching_map():
+    # sigma^2 = 1.5^2 on the unit subspace: the iteration map is not the promised contraction.
+    with pytest.raises(ContractionViolationError) as info:
+        _unit_image(1.5 * np.eye(3), np.eye(3)[:, :2], CLUSTER_TOL)
+    assert abs(info.value.eigenvalue - 2.25) < 1e-12
 
 
 def _sweep_pairs(seed):
