@@ -50,7 +50,6 @@ from .serialize import (
     realization_from_json,
     realization_to_json,
 )
-from .verify import DEFAULT_SEED, run_battery
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -238,7 +237,11 @@ def cmd_stability(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_battery(seed=args.seed, cases=args.cases)
+    # The battery pulls in the samplers and numpy.random, which no other command needs.
+    from .verify import DEFAULT_SEED, run_battery
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_battery(seed=seed, cases=args.cases)
     failures = []
     for result in results:
         if result.passed:
@@ -312,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sta.set_defaults(handler=cmd_stability)
 
     p_ver = sub.add_parser("verify", help="run the seeded property battery")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="battery seed (default: whindex.verify.DEFAULT_SEED)")
     p_ver.add_argument("--cases", type=int, default=None,
                        help="override the per-family case count")
     p_ver.set_defaults(handler=cmd_verify)

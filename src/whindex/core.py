@@ -175,15 +175,27 @@ def validate_stable_dissipative(r: Realization, tol: float = VALIDATION_TOL) -> 
     """
     if r.flavor != CONTINUOUS:
         raise StructureError("validate_stable_dissipative expects a continuous realization")
-    if r.state_dim == 0:
+    return _stable_dissipative_report(r, np.linalg.eigvals(r.a), tol)
+
+
+def _stable_dissipative_report(
+    r: Realization, eigenvalues: np.ndarray, tol: float = VALIDATION_TOL
+) -> ValidationReport:
+    """``validate_stable_dissipative`` of a continuous ``r`` given the eigenvalues of ``a``.
+
+    The eigenvalues may come from a factorization the caller needs anyway,
+    such as the diagonal of a Schur form.
+    """
+    if eigenvalues.size == 0:
         stable, near_marginal = True, False
     else:
-        re_parts = np.linalg.eigvals(r.a).real
-        top = float(re_parts.max())
+        top = float(eigenvalues.real.max())
         stable = top < 0.0
         near_marginal = stable and top > -NEAR_MARGINAL_GAP
     eye = np.eye(r.output_dim)
-    diss = opnorm(r.a + r.a.conj().T + r.c.conj().T @ r.c)
+    # a + a* + c*c is Hermitian, so its 2-norm is its largest eigenvalue magnitude.
+    energy = r.a + r.a.conj().T + r.c.conj().T @ r.c
+    diss = float(np.abs(np.linalg.eigvalsh(energy)).max()) if energy.size else 0.0
     feed = opnorm(r.d.conj().T @ r.d - eye)
     coup = opnorm(r.b + r.c.conj().T @ r.d)
     verdict = stable and diss <= tol and feed <= tol and coup <= tol

@@ -10,12 +10,30 @@ Schur form computed once serves every equation whose coefficient is that
 matrix or its adjoint.
 
 Every solve is gated on conditioning, measured in the 2-norm of the
-vectorized operator as a dense Kronecker solver would measure it.  The norm
-of the inverse of the triangular operator is estimated with the Hager/Higham
-estimator, driven by ``ztrsyl`` and its conjugate-transposed form as LAPACK
-``ztrsna`` does when it estimates ``sep``, followed by one power step; the
-operator's own norm is bounded from above.  A solution whose estimated
-condition number exceeds ``CONDITION_LIMIT`` is refused.
+vectorized operator as a dense Kronecker solver would measure it.  The
+operator's own norm is bounded from above, and a solution whose condition
+number, so bounded or estimated, exceeds ``CONDITION_LIMIT`` is refused.
+
+When both Sylvester coefficients are Hurwitz (every diagonal entry of both
+Schur factors has negative real part), the norm of the inverse is bounded
+from above by Gramians (after Hewer & Kenney, SIAM J. Control Optim. 1988):
+
+    |L^{-1}|_2 <= sqrt(|P_a|_2 |P_b|_2)  for L(x) = a x + x b,
+    where  a P_a + P_a a* + I = 0  and  b P_b + P_b b* + I = 0.
+
+Proof: x = L^{-1}(c) = -int_0^inf e^{at} c e^{bt} dt.  For any y,
+Cauchy-Schwarz in the trace inner product and then in t gives
+|<y, x>| <= (int |e^{a*t} y|_F^2)^{1/2} (int |c e^{bt}|_F^2)^{1/2}
+= tr(y* P_a y)^{1/2} tr(c P_b c*)^{1/2} <= sqrt(|P_a| |P_b|) |y|_F |c|_F.
+
+In Schur coordinates each Gramian is one ``ztrsyl`` call on the triangular
+factor and one Hermitian eigenvalue solve, and it is cached on the
+factorization, so a matrix and its adjoint need two calls in all, however
+many equations they enter.  In every other case -- the Stein equation, or a
+Sylvester coefficient that is not Hurwitz -- the norm of the inverse is
+estimated from below with the Hager/Higham estimator, driven by ``ztrsyl``
+and its conjugate-transposed form as LAPACK ``ztrsna`` does when it
+estimates ``sep``, followed by one power step.
 
 SciPy's LAPACK wrappers are loaded by the first factorization rather than
 with the package, and without the ``scipy.linalg`` package around them,
@@ -28,7 +46,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,16 +74,16 @@ _CAYLEY_SHIFTS = np.exp(0.25j * np.pi * np.arange(8))
 def _lapack():
     """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
 
-    The extension is loaded from its file, because importing the
-    ``scipy.linalg`` package costs about 0.3 s of processor time (x86-64,
-    SciPy 1.17) and the extension alone a few milliseconds.  A SciPy laid out
-    differently falls back to the package import.
+    The extension is loaded from its file, found without running the
+    ``scipy`` package's own import, because importing the ``scipy.linalg``
+    package costs about 0.3 s of processor time (x86-64, SciPy 1.17) and the
+    extension alone a few milliseconds.  A SciPy laid out differently falls
+    back to the package import.
     """
-    import scipy
-
-    spec = importlib.machinery.PathFinder.find_spec(
-        "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
-    )
+    scipy, spec = importlib.util.find_spec("scipy"), None
+    if scipy is not None:
+        linalg = [os.path.join(location, "linalg") for location in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
     if spec is None:
         from scipy.linalg import lapack
 
@@ -90,6 +108,8 @@ class SchurForm:
     t: np.ndarray
     u: np.ndarray
     adjoint: bool = False
+    #: Gramian norms by ``adjoint``, shared with the form's adjoint (see ``_gramian_norm``).
+    _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -97,7 +117,9 @@ class SchurForm:
     @property
     def H(self) -> "SchurForm":
         """The same factorization standing for the adjoint matrix."""
-        return replace(self, adjoint=not self.adjoint)
+        other = replace(self, adjoint=not self.adjoint)
+        object.__setattr__(other, "_gramians", self._gramians)
+        return other
 
     @property
     def matrix(self) -> np.ndarray:
@@ -179,13 +201,36 @@ def _norm_bound(t: np.ndarray) -> float:
     return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
+def _hurwitz(f: SchurForm) -> bool:
+    """Whether every eigenvalue of the non-empty represented matrix has negative real part."""
+    return bool(np.diag(f.t).real.max() < 0.0)
+
+
+def _gramian_norm(f: SchurForm) -> float:
+    """2-norm of the Gramian P with op(t) P + P op(t)* + I = 0, for Hurwitz op(t).
+
+    P is Hermitian positive definite, so its norm is its largest eigenvalue
+    magnitude.  The value is cached on the factorization, shared by ``f``
+    and ``f.H``; a non-finite solution gives an infinite norm.
+    """
+    if f.adjoint not in f._gramians:
+        p = _trsyl(f, f.t, f.H, f.t, -np.eye(len(f)), False)
+        finite = np.isfinite(p).all()
+        f._gramians[f.adjoint] = float(np.abs(np.linalg.eigvalsh(p)).max()) if finite else np.inf
+    return f._gramians[f.adjoint]
+
+
 def _sylvester_operator(fa: SchurForm, fb: SchurForm):
-    """2-norm bound of y -> op(ta) y + y op(tb) and a solver for it and its adjoint."""
+    """2-norm bound of y -> op(ta) y + y op(tb), a solver for it and its adjoint,
+    and the Gramian bound on the 2-norm of its inverse (None unless both are Hurwitz)."""
 
     def solve(rhs, adjoint=False):
         return _trsyl(fa, fa.t, fb, fb.t, rhs, adjoint)
 
-    return _norm_bound(fa.t) + _norm_bound(fb.t), solve
+    inverse_bound = None
+    if _hurwitz(fa) and _hurwitz(fb):
+        inverse_bound = float(np.sqrt(_gramian_norm(fa) * _gramian_norm(fb)))
+    return _norm_bound(fa.t) + _norm_bound(fb.t), solve, inverse_bound
 
 
 def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
@@ -208,7 +253,7 @@ def _shift_inverse(f: SchurForm, s: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stein_operator(fa: SchurForm, fb: SchurForm):
-    """2-norm bound of y -> y - op(ta) y op(tb) and a solver for it and its adjoint.
+    """2-norm bound of y -> y - op(ta) y op(tb), a solver for it and its adjoint, and None.
 
     With A = (op(ta) + s)^{-1}(op(ta) - s) and B = (op(tb) + s̄)^{-1}(op(tb) - s̄),
     both triangular, y - op(ta) y op(tb) = -2 (I - A)^{-1} (A y + y B) (I - B)^{-1},
@@ -225,7 +270,7 @@ def _stein_operator(fa: SchurForm, fb: SchurForm):
             return -2.0 * (ia.conj().T @ _trsyl(fa, ca, fb, cb, rhs, True) @ ib.conj().T)
         return _trsyl(fa, ca, fb, cb, -2.0 * (ia @ rhs @ ib), False)
 
-    return 1.0 + _norm_bound(fa.t) * _norm_bound(fb.t), solve
+    return 1.0 + _norm_bound(fa.t) * _norm_bound(fb.t), solve, None
 
 
 def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
@@ -266,11 +311,14 @@ def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.nd
     """Solve L(x) = c for the triangular operator L in the Schur bases of fa and fb.
 
     Refuses the solution when an upper bound on the operator's 2-norm times
-    the estimated 2-norm of its inverse exceeds ``CONDITION_LIMIT``.  Only
-    the zero operator has a zero bound; it is refused without estimating.
+    the 2-norm of its inverse exceeds ``CONDITION_LIMIT``.  The latter is the
+    operator's own upper bound where it has one, and estimated otherwise.
+    Only the zero operator has a zero norm bound; it is refused without
+    estimating.
     """
-    norm, solve = operator(fa, fb)
-    inverse_norm = _inverse_norm_estimate(solve, c.shape) if norm > 0.0 else np.inf
+    norm, solve, inverse_norm = operator(fa, fb)
+    if inverse_norm is None:
+        inverse_norm = _inverse_norm_estimate(solve, c.shape) if norm > 0.0 else np.inf
     if not np.isfinite(inverse_norm) or norm * inverse_norm > CONDITION_LIMIT:
         smallest = 1.0 / inverse_norm
         raise UnsolvableEquationError(

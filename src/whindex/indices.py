@@ -43,7 +43,7 @@ from .core import (
     SymbolPair,
     hermitize,
     opnorm,
-    validate_stable_dissipative,
+    _stable_dissipative_report,
     validate_stable_unitary,
 )
 from .equations import (
@@ -51,7 +51,6 @@ from .equations import (
     EquationSolution,
     SchurForm,
     _unit_cut,
-    eigenvalue_one_multiplicity,
     schur_form,
     solve_stein,
     solve_sylvester,
@@ -92,14 +91,18 @@ class IndexProfile:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _validated(pair: SymbolPair) -> None:
-    for name, r in (("v", pair.v), ("w", pair.w)):
-        report = validate_stable_dissipative(r)
+def _validated(pair: SymbolPair) -> tuple[SchurForm, SchurForm]:
+    """Schur forms of a_v and a_w, shared by every solve of one profile, after
+    validating each factor with the eigenvalues on the diagonal of its form."""
+    forms = schur_form(pair.v.a), schur_form(pair.w.a)
+    for name, r, f in (("v", pair.v, forms[0]), ("w", pair.w, forms[1])):
+        report = _stable_dissipative_report(r, np.diag(f.t))
         if not report.verdict:
             raise InputValidationError(
                 f"factor {name} is not stable dissipative "
                 f"(stable={report.stable}, max residual={report.max_residual:.3e})"
             )
+    return forms
 
 
 def _counts_from_mu(mu: list[int]) -> list[int]:
@@ -129,20 +132,22 @@ def _kernel_dimension_chain(
 ) -> tuple[list[int], np.ndarray]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
-    Step 0 counts the unit eigenvalues of Q and takes an orthonormal basis
-    of their eigenspace from the same eigendecomposition; every later step
-    maps the basis by M and keeps its isometric part (``_unit_image``).
-    Returns the chain and the eigenvalues of Q.  The chain must be strictly
-    decreasing; anything else means the input was not a genuine unimodular
-    symbol pair at this tolerance.
+    Step 0 counts the unit eigenvalues of the Hermitian Q and takes an
+    orthonormal basis of their eigenspace from the same eigendecomposition;
+    every later step maps the basis by M and keeps its isometric part
+    (``_unit_image``).  Returns the chain and the eigenvalues of Q.  The
+    chain must be strictly decreasing; anything else means the input was not
+    a genuine unimodular symbol pair at this tolerance.
     """
-    count, eigenvalues, basis = eigenvalue_one_multiplicity(q, tol, basis=True)
-    if eigenvalues.size and float(eigenvalues[0]) < -tol:
-        raise ContractionViolationError(
-            f"Q has a negative eigenvalue {float(eigenvalues[0])!r} beyond tolerance",
-            eigenvalue=float(eigenvalues[0]),
-        )
-    dims = [count]
+    eigenvalues, basis = np.linalg.eigh(q)
+    if eigenvalues.size:
+        basis = basis[:, _unit_cut(eigenvalues, tol)]
+        if float(eigenvalues[0]) < -tol:
+            raise ContractionViolationError(
+                f"Q has a negative eigenvalue {float(eigenvalues[0])!r} beyond tolerance",
+                eigenvalue=float(eigenvalues[0]),
+            )
+    dims = [basis.shape[1]]
     while dims[-1] > 0:
         if len(dims) > cap:
             raise PipelineError(
@@ -176,11 +181,6 @@ def _chain_trace(
     return trace, mu, _counts_from_mu(mu)
 
 
-def _schur_forms(v: Realization, w: Realization) -> tuple[SchurForm, SchurForm]:
-    """Schur forms of a_v and a_w, shared by every solve of one profile."""
-    return schur_form(v.a), schur_form(w.a)
-
-
 def _negative(
     pair: SymbolPair, tol: float, sv: SchurForm, sw: SchurForm
 ) -> tuple[PipelineTrace, list[int], list[int]]:
@@ -196,8 +196,7 @@ def negative_profile(
     pair: SymbolPair, tol: float = CLUSTER_TOL
 ) -> tuple[PipelineTrace, list[int], list[int]]:
     """Run the negative-index pipeline; returns (trace, mu, kappa)."""
-    _validated(pair)
-    return _negative(pair, tol, *_schur_forms(pair.v, pair.w))
+    return _negative(pair, tol, *_validated(pair))
 
 
 def positive_profile(
@@ -237,7 +236,7 @@ def discrete_negative_profile(
         raise InputValidationError(
             f"factor output dimensions differ: {v.output_dim} vs {w.output_dim}"
         )
-    sv, sw = _schur_forms(v, w)
+    sv, sw = schur_form(v.a), schur_form(w.a)
     omega_sol = solve_stein(sv, sw.H, v.b @ w.b.conj().T)
     c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x @ w.a.conj().T
     q_sol = solve_stein(sw, sw.H, c_circ.conj().T @ c_circ)
@@ -293,8 +292,7 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     other: the dual trace must carry the conjugate transpose of omega, and
     the unit multiplicities must balance the state dimensions on both sides.
     """
-    _validated(pair)
-    sv, sw = _schur_forms(pair.v, pair.w)
+    sv, sw = _validated(pair)
     negative_trace, mu, kappa = _negative(pair, tol, sv, sw)
     positive_trace, nu, omegas = _negative(pair.swapped(), tol, sw, sv)
     m = pair.output_dim

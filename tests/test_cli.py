@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,25 @@ def test_example_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "example", "nope", "--output", str(tmp_path))
     assert code == 2
+
+
+def test_verify_defaults_to_the_battery_seed(capsys, monkeypatch):
+    import whindex.verify as verify_module
+
+    seeds = []
+    monkeypatch.setattr(verify_module, "run_battery", lambda seed, cases: seeds.append(seed) or [])
+    code, _, _ = run(capsys, "verify")
+    assert code == 0 and seeds == [verify_module.DEFAULT_SEED]
+
+
+def test_indices_start_up_leaves_the_battery_and_scipy_unloaded():
+    # whindex indices needs neither the verify battery (with the samplers
+    # and numpy.random) nor the scipy package around the LAPACK extension.
+    script = (
+        "import sys, whindex.cli, whindex.equations as eq; eq._lapack(); "
+        "print(sorted(m for m in ('whindex.verify', 'numpy.random', 'scipy') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

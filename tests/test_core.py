@@ -189,3 +189,13 @@ def test_realizations_are_immutable():
     r = zeta_power_realization(2)
     with pytest.raises(ValueError):
         r.a[0, 0] = 5.0
+
+
+def test_dissipation_residual_is_the_spectral_norm_of_the_energy_defect():
+    rng = np.random.default_rng(5)
+    r = zeta_power_realization(5)
+    a = r.a + 1e-3 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    report = validate_stable_dissipative(Realization(a, r.b, r.c, r.d))
+    defect = opnorm(a + a.conj().T + r.c.conj().T @ r.c)
+    assert defect > 1e-4
+    assert report.dissipative_residual == pytest.approx(defect, rel=1e-12)

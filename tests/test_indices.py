@@ -186,3 +186,13 @@ def test_discrete_gate_rejects_continuous_input():
     pair = diagonal_symbol_factors([1])
     with pytest.raises(InputValidationError):
         discrete_negative_profile(pair.v, pair.w)
+
+
+def test_full_profile_takes_stability_from_the_schur_diagonal():
+    # An eigenvalue on the axis with the energy balance intact: only the
+    # stability test, read off the Schur form of a, can refuse this factor.
+    marginal = Realization([[1j]], [[0.0]], [[0.0]], [[1.0]])
+    good = blaschke_realization(BlaschkeSpec(1.0, (-1.0,)))
+    for pair in (SymbolPair(marginal, good), SymbolPair(good, marginal)):
+        with pytest.raises(InputValidationError, match="stable=False"):
+            full_profile(pair)

@@ -206,3 +206,92 @@ def test_lapack_wrappers_load_with_or_without_the_scipy_linalg_package(monkeypat
     # Where the extension file cannot be found, the package import is used instead.
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
     assert equations._lapack.__wrapped__() is scipy.linalg.lapack
+
+
+#: Resonance gaps of the Hurwitz sweep, 1e-4 down to 1e-14.
+HURWITZ_GAPS = [10.0 ** -e for e in range(4, 15)]
+
+
+def _hurwitz_resonant_pair(rng, gap):
+    """Hurwitz (a, b) with eigenvalues -gap + i w of a and -gap - i w of b.
+
+    Both coefficients are stable, so the operator x -> a x + x b has the
+    Gramian bound, and it comes within 2 gap of singular as the pair
+    approaches the imaginary axis.
+    """
+    p, q = (int(n) for n in rng.integers(1, 13, size=2))
+    coupling = (0.0, 0.3, 1.0, 3.0)[rng.integers(4)]
+    la = -rng.uniform(0.1, 3.0, p) + 1j * rng.uniform(-3.0, 3.0, p)
+    lb = -rng.uniform(0.1, 3.0, q) + 1j * rng.uniform(-3.0, 3.0, q)
+    omega = rng.uniform(-3.0, 3.0)
+    la[0], lb[0] = -gap + 1j * omega, -gap - 1j * omega
+    return _with_spectrum(rng, la, coupling), _with_spectrum(rng, lb, coupling)
+
+
+def test_gramian_bound_is_at_least_the_exact_inverse_norm():
+    rng = np.random.default_rng(14)
+    for gap in [1.0, 1e-1, 1e-2, 1e-3, 1e-4]:
+        for _ in range(12):
+            a, b = _hurwitz_resonant_pair(rng, gap)
+            exact = 1.0 / np.linalg.svd(kron.sylvester_system(a, b), compute_uv=False)[-1]
+            bound = equations._sylvester_operator(schur_form(a), schur_form(b))[2]
+            assert bound >= exact * (1.0 - 1e-6)
+
+
+def test_gramian_gate_refuses_every_case_the_kronecker_or_estimator_gate_refuses():
+    rng = np.random.default_rng(15)
+    counts = {}
+    for gap in HURWITZ_GAPS:
+        for _ in range(12):
+            a, b = _hurwitz_resonant_pair(rng, gap)
+            c = _complex_normal(rng, (len(a), len(b)))
+            try:
+                kron.solve_sylvester(a, b, c)
+                kronecker = False
+            except kron.Refused:
+                kronecker = True
+            norm, solve, bound = equations._sylvester_operator(schur_form(a), schur_form(b))
+            estimator = norm * equations._inverse_norm_estimate(solve, c.shape) > CONDITION_LIMIT
+            try:
+                solve_sylvester(a, b, c)
+                gramian = False
+            except UnsolvableEquationError as exc:
+                gramian = True
+                # At the smallest gaps rounding can put a Schur diagonal entry
+                # on the axis; such a case is gated by the estimator instead.
+                if bound is not None:
+                    assert exc.smallest_singular_value == 1.0 / bound
+            key = (kronecker or estimator, gramian)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts.get((True, False), 0) == 0
+    # The sweep straddles the limit: the gates accept some cases and refuse others.
+    assert counts.get((True, True), 0) > 0
+    assert counts.get((False, False), 0) > 0
+
+
+class _ZtrsylCounter:
+    """The LAPACK module with ``ztrsyl`` calls counted."""
+
+    def __init__(self, lapack):
+        self.lapack, self.calls = lapack, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lapack, name)
+
+    def ztrsyl(self, *args, **kwargs):
+        self.calls += 1
+        return self.lapack.ztrsyl(*args, **kwargs)
+
+
+def test_profile_shares_four_gramian_solves(monkeypatch):
+    counter = _ZtrsylCounter(equations._lapack())
+    monkeypatch.setattr(equations, "_lapack", lambda: counter)
+    for k in (3, 16):
+        counter.calls = 0
+        full_profile(diagonal_symbol_factors([-k, k]))
+        # Four Sylvester solves, and one Gramian each for a_v, a_v*, a_w and a_w*.
+        assert counter.calls == 8
+    rng = np.random.default_rng(16)
+    counter.calls = 0
+    solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
+    assert counter.calls == 3
