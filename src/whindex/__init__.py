@@ -2,8 +2,9 @@
 
 The library computes the full index profile of a symbol R = V W* that takes
 unitary values on the imaginary axis, starting from stable dissipative
-state-space realizations of the two inner factors.  It ships realization
-builders, the Schur-based matrix-equation solvers the pipelines need, the
+state-space realizations of the two inner factors or stable unitary
+realizations of their Cayley images.  It ships realization builders, the
+Schur-based matrix-equation solvers the pipeline needs, the
 continuous/discrete realization dictionary, and independent oracles
 (winding numbers, root tests) for cross-validation.
 """

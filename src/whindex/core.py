@@ -145,14 +145,19 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SymbolPair:
-    """Two continuous realizations (V-factor, W-factor) of a unimodular symbol V W*."""
+    """Two realizations (V-factor, W-factor) of one flavor for a unimodular symbol V W*.
+
+    Continuous factors realize the symbol on the imaginary axis; discrete
+    factors realize its Cayley image on the unit circle, as ``c2d`` of the
+    continuous ones does.  The index pipeline accepts either flavor.
+    """
 
     v: Realization
     w: Realization
 
     def __post_init__(self):
-        if self.v.flavor != CONTINUOUS or self.w.flavor != CONTINUOUS:
-            raise StructureError("both factors of a symbol pair must be continuous")
+        if self.v.flavor != self.w.flavor:
+            raise StructureError(f"factor flavors differ: {self.v.flavor} vs {self.w.flavor}")
         if self.v.output_dim != self.w.output_dim:
             raise StructureError(
                 f"factor output dimensions differ: {self.v.output_dim} vs {self.w.output_dim}"
@@ -164,6 +169,14 @@ class SymbolPair:
 
     def swapped(self) -> "SymbolPair":
         return SymbolPair(self.w, self.v)
+
+
+def _stability(margins: np.ndarray, limit: float) -> tuple[bool, bool]:
+    """(stable, near_marginal) for eigenvalue margins that must stay below ``limit``."""
+    if margins.size == 0:
+        return True, False
+    top = float(margins.max())
+    return top < limit, limit - NEAR_MARGINAL_GAP < top < limit
 
 
 def validate_stable_dissipative(r: Realization, tol: float = VALIDATION_TOL) -> ValidationReport:
@@ -186,12 +199,7 @@ def _stable_dissipative_report(
     The eigenvalues may come from a factorization the caller needs anyway,
     such as the diagonal of a Schur form.
     """
-    if eigenvalues.size == 0:
-        stable, near_marginal = True, False
-    else:
-        top = float(eigenvalues.real.max())
-        stable = top < 0.0
-        near_marginal = stable and top > -NEAR_MARGINAL_GAP
+    stable, near_marginal = _stability(eigenvalues.real, 0.0)
     eye = np.eye(r.output_dim)
     # a + a* + c*c is Hermitian, so its 2-norm is its largest eigenvalue magnitude.
     energy = r.a + r.a.conj().T + r.c.conj().T @ r.c
@@ -212,33 +220,26 @@ def validate_stable_unitary(r: Realization, tol: float = VALIDATION_TOL) -> Vali
     """
     if r.flavor != DISCRETE:
         raise StructureError("validate_stable_unitary expects a discrete realization")
-    if r.state_dim == 0:
-        stable, near_marginal = True, False
-    else:
-        radii = np.abs(np.linalg.eigvals(r.a))
-        top = float(radii.max())
-        stable = top < 1.0
-        near_marginal = stable and top > 1.0 - NEAR_MARGINAL_GAP
-    n, m = r.state_dim, r.output_dim
-    s = np.zeros((n + m, n + m), dtype=complex)
-    s[:n, :n] = r.a
-    s[:n, n:] = r.b
-    s[n:, :n] = r.c
-    s[n:, n:] = r.d
-    defect = s.conj().T @ s - np.eye(n + m)
+    return _stable_unitary_report(r, np.linalg.eigvals(r.a), tol)
+
+
+def _stable_unitary_report(
+    r: Realization, eigenvalues: np.ndarray, tol: float = VALIDATION_TOL
+) -> ValidationReport:
+    """``validate_stable_unitary`` of a discrete ``r`` given the eigenvalues of ``a``.
+
+    As for ``_stable_dissipative_report``, the eigenvalues may come from the
+    diagonal of a Schur form.
+    """
+    stable, near_marginal = _stability(np.abs(eigenvalues), 1.0)
+    n = r.state_dim
+    s = np.block([[r.a, r.b], [r.c, r.d]])
+    defect = s.conj().T @ s - np.eye(len(s))
     full = opnorm(defect)
-    state_block = opnorm(defect[:n, :n])
-    coupling_block = opnorm(defect[:n, n:])
-    feed_block = opnorm(defect[n:, n:])
-    verdict = stable and full <= tol
+    # The state, feedthrough and coupling blocks of S*S - I, in the report's order.
+    blocks = (opnorm(defect[:n, :n]), opnorm(defect[n:, n:]), opnorm(defect[:n, n:]))
     return ValidationReport(
-        stable,
-        state_block,
-        feed_block,
-        coupling_block,
-        verdict,
-        near_marginal,
-        system_unitarity_residual=full,
+        stable, *blocks, stable and full <= tol, near_marginal, system_unitarity_residual=full
     )
 
 

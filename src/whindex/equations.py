@@ -400,35 +400,33 @@ def _unit_cut(evals: np.ndarray, tol: float) -> np.ndarray:
     return evals >= 1.0 - tol
 
 
-def eigenvalue_one_multiplicity(
-    h: np.ndarray, tol: float = CLUSTER_TOL, *, basis: bool = False
-) -> tuple[int, np.ndarray] | tuple[int, np.ndarray, np.ndarray]:
-    """Count eigenvalues of a Hermitian contraction clustered at 1.
-
-    ``h`` is symmetrized before the eigendecomposition; inputs further than
-    1e-10 from Hermitian are rejected.  Returns the count of eigenvalues
-    ``>= 1 - tol`` together with the full ascending eigenvalue list, and
-    raises if any eigenvalue exceeds ``1 + tol`` (the input was not the
-    contraction the pipeline promised).  With ``basis`` set, a third item
-    holds orthonormal eigenvectors of the counted eigenvalues, taken from
-    the same eigendecomposition.
-    """
+def _unit_eigenspace(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian contraction and an orthonormal basis
+    of its eigenvectors counted by ``_unit_cut``, after the checks of
+    ``eigenvalue_one_multiplicity``."""
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     if h.size == 0:
-        evals, evecs = np.zeros(0), np.zeros((0, 0), dtype=complex)
-        return (0, evals, evecs) if basis else (0, evals)
+        return np.zeros(0), np.zeros((0, 0), dtype=complex)
     if h.shape[0] != h.shape[1]:
         raise StructureError(f"expected a square matrix, got {h.shape}")
     asym = opnorm(h - h.conj().T)
     if asym > 1e-10 * (1.0 + opnorm(h)):
         raise StructureError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    if basis:
-        evals, evecs = np.linalg.eigh(hermitize(h))
-    else:
-        evals = np.linalg.eigvalsh(hermitize(h))
-    keep = _unit_cut(evals, tol)
-    count = int(np.count_nonzero(keep))
-    return (count, evals, evecs[:, keep]) if basis else (count, evals)
+    evals, evecs = np.linalg.eigh(hermitize(h))
+    return evals, evecs[:, _unit_cut(evals, tol)]
+
+
+def eigenvalue_one_multiplicity(h: np.ndarray, tol: float = CLUSTER_TOL) -> tuple[int, np.ndarray]:
+    """Count eigenvalues of a Hermitian contraction clustered at 1.
+
+    Returns the count of eigenvalues ``>= 1 - tol`` together with the full
+    ascending eigenvalue list, and raises if any eigenvalue exceeds
+    ``1 + tol`` (the input was not the contraction the pipeline promised).
+    ``h`` is symmetrized first; inputs further than 1e-10 from Hermitian are
+    rejected.
+    """
+    evals, basis = _unit_eigenspace(h, tol)
+    return basis.shape[1], evals
 
 
 def unit_eigenvectors(h: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
@@ -438,4 +436,4 @@ def unit_eigenvectors(h: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
     matrix has zero columns when the cluster is empty.  The checks and the
     cut are those of ``eigenvalue_one_multiplicity``.
     """
-    return eigenvalue_one_multiplicity(h, tol, basis=True)[2]
+    return _unit_eigenspace(h, tol)[1]

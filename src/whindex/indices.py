@@ -1,4 +1,4 @@
-"""Index pipelines: from realization pairs of a unimodular symbol to its partial indices.
+"""Index pipeline: from realization pairs of a unimodular symbol to its partial indices.
 
 Given stable dissipative realizations of the two inner factors of R = V W*,
 the negative partial indices are read off a chain of kernel dimensions of a
@@ -12,9 +12,14 @@ The k-th kernel dimension is the unit-eigenvalue multiplicity of
 M^k Q M*^k with M the disk map of -a_w; first differences give the
 multiplicities mu_k, and the indices are recovered by counting
 kappa_j = #{k : mu_k >= j}.  The positive indices come from the same
-pipeline applied to the swapped pair (W, V).  A discrete-time variant
-replaces the two continuous equations by their fixed-point forms and uses
-a_w itself as the iteration map.
+pipeline applied to the swapped pair (W, V).
+
+The same pipeline serves discrete pairs, stable unitary realizations of the
+Cayley images of the factors.  Their flavor selects the fixed-point forms
+omega = a_v omega a_w* + b_v b_w* and q = a_w q a_w* + c_circ* c_circ with
+c_circ = d_v b_w* + c_v omega a_w*, and a_w itself as the iteration map M.
+Nothing passes through ``d2c``, so the discrete path checks the continuous
+one independently.
 
 No power of M is formed.  Because M and Q are contractions, the unit
 eigenspace N_k of M^k Q M*^k obeys the one-step recursion
@@ -44,11 +49,10 @@ from .core import (
     hermitize,
     opnorm,
     _stable_dissipative_report,
-    validate_stable_unitary,
+    _stable_unitary_report,
 )
 from .equations import (
     CLUSTER_TOL,
-    EquationSolution,
     SchurForm,
     _unit_cut,
     schur_form,
@@ -93,13 +97,18 @@ class IndexProfile:
 
 def _validated(pair: SymbolPair) -> tuple[SchurForm, SchurForm]:
     """Schur forms of a_v and a_w, shared by every solve of one profile, after
-    validating each factor with the eigenvalues on the diagonal of its form."""
+    validating each factor with the eigenvalues on the diagonal of its form:
+    stable dissipative for continuous factors, stable unitary for discrete ones."""
     forms = schur_form(pair.v.a), schur_form(pair.w.a)
+    if pair.v.flavor == DISCRETE:
+        report_of, promise = _stable_unitary_report, "stable unitary"
+    else:
+        report_of, promise = _stable_dissipative_report, "stable dissipative"
     for name, r, f in (("v", pair.v, forms[0]), ("w", pair.w, forms[1])):
-        report = _stable_dissipative_report(r, np.diag(f.t))
+        report = report_of(r, np.diag(f.t))
         if not report.verdict:
             raise InputValidationError(
-                f"factor {name} is not stable dissipative "
+                f"factor {name} is not {promise} "
                 f"(stable={report.stable}, max residual={report.max_residual:.3e})"
             )
     return forms
@@ -162,12 +171,26 @@ def _kernel_dimension_chain(
     return dims, eigenvalues
 
 
-def _chain_trace(
-    omega_sol: EquationSolution, c_circ: np.ndarray, q_sol: EquationSolution,
-    m: np.ndarray, tol: float,
+def _negative(
+    pair: SymbolPair, tol: float, sv: SchurForm, sw: SchurForm
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Run the kernel chain on the solved Q with iteration map ``m``; returns (trace, mu, kappa)."""
+    """Negative-index pipeline on validated factors with Schur forms ``sv``, ``sw``.
+
+    The flavor of the factors selects the equations (Sylvester or Stein),
+    the extra factor a_w* of the discrete c_circ, and the iteration map of
+    the chain (the disk map of -a_w, or a_w itself).
+    """
+    v, w = pair.v, pair.w
+    discrete = v.flavor == DISCRETE
+    solve = solve_stein if discrete else solve_sylvester
+    omega_sol = solve(sv, sw.H, v.b @ w.b.conj().T)
+    coupling = v.c @ omega_sol.x
+    if discrete:
+        coupling = coupling @ w.a.conj().T
+    c_circ = v.d @ w.b.conj().T + coupling
+    q_sol = solve(sw, sw.H, c_circ.conj().T @ c_circ)
     q = hermitize(q_sol.x)
+    m = w.a if discrete else zeta_of_minus(sw)
     dims, eigenvalues = _kernel_dimension_chain(q, m, tol, cap=len(m) + 1)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     trace = PipelineTrace(
@@ -179,17 +202,6 @@ def _chain_trace(
         q_eigenvalues=eigenvalues,
     )
     return trace, mu, _counts_from_mu(mu)
-
-
-def _negative(
-    pair: SymbolPair, tol: float, sv: SchurForm, sw: SchurForm
-) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Negative-index pipeline on validated factors with Schur forms ``sv``, ``sw``."""
-    v, w = pair.v, pair.w
-    omega_sol = solve_sylvester(sv, sw.H, v.b @ w.b.conj().T)
-    c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x
-    q_sol = solve_sylvester(sw, sw.H, c_circ.conj().T @ c_circ)
-    return _chain_trace(omega_sol, c_circ, q_sol, zeta_of_minus(sw), tol)
 
 
 def negative_profile(
@@ -208,7 +220,7 @@ def positive_profile(
     symbol W V*, so this is the same pipeline applied to the swapped pair:
     omega_dual solves a_w x + x a_v* + b_w b_v* = 0, the dual c_circ is
     d_w b_v* + c_w omega_dual, and the dual Q lives on the V state space
-    with iteration map built from -a_v.
+    with the iteration map of the V factor.  Discrete pairs swap the same way.
     """
     return negative_profile(pair.swapped(), tol)
 
@@ -216,31 +228,15 @@ def positive_profile(
 def discrete_negative_profile(
     v: Realization, w: Realization, tol: float = CLUSTER_TOL
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Discrete-time negative-index pipeline for stable unitary realizations.
+    """``negative_profile`` of the pair (v, w) of stable unitary discrete realizations.
 
-    The fixed-point equations are omega = a_v omega a_w* + b_v b_w* and
-    q = a_w q a_w* + c_circ* c_circ with
-    c_circ = d_v b_w* + c_v omega a_w*; the kernel chain iterates with
-    a_w itself.
+    Continuous factors are refused with ``InputValidationError``; the
+    equations of the discrete flavor are in the module docstring.
     """
     for name, r in (("v", v), ("w", w)):
         if r.flavor != DISCRETE:
             raise InputValidationError(f"factor {name} must be a discrete realization")
-        report = validate_stable_unitary(r)
-        if not report.verdict:
-            raise InputValidationError(
-                f"factor {name} is not stable unitary "
-                f"(stable={report.stable}, max residual={report.max_residual:.3e})"
-            )
-    if v.output_dim != w.output_dim:
-        raise InputValidationError(
-            f"factor output dimensions differ: {v.output_dim} vs {w.output_dim}"
-        )
-    sv, sw = schur_form(v.a), schur_form(w.a)
-    omega_sol = solve_stein(sv, sw.H, v.b @ w.b.conj().T)
-    c_circ = v.d @ w.b.conj().T + v.c @ omega_sol.x @ w.a.conj().T
-    q_sol = solve_stein(sw, sw.H, c_circ.conj().T @ c_circ)
-    return _chain_trace(omega_sol, c_circ, q_sol, w.a, tol)
+    return negative_profile(SymbolPair(v, w), tol)
 
 
 def _cluster_margin(eigenvalues: np.ndarray, tol: float) -> Optional[float]:
@@ -285,12 +281,13 @@ def _margin_slack(eigenvalues: np.ndarray, tol: float) -> int:
 
 
 def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
-    """Run both pipelines and assemble the complete index profile.
+    """Run the pipeline on both sides and assemble the complete index profile.
 
-    Each factor is validated and brought to Schur form once, and both
-    pipelines share the result.  Cross-checks the two runs against each
-    other: the dual trace must carry the conjugate transpose of omega, and
-    the unit multiplicities must balance the state dimensions on both sides.
+    ``pair`` may be continuous or discrete.  Each factor is validated and
+    brought to Schur form once, and both sides share the result.
+    Cross-checks the two runs against each other: the dual trace must carry
+    the conjugate transpose of omega, and the unit multiplicities must
+    balance the state dimensions on both sides.
     """
     sv, sw = _validated(pair)
     negative_trace, mu, kappa = _negative(pair, tol, sv, sw)

@@ -21,15 +21,11 @@ from .core import (
     cascade,
     constant_realization,
     direct_sum,
+    hermitize,
     opnorm,
 )
-from .equations import CLUSTER_TOL, CONDITION_LIMIT
-from .errors import (
-    ContractionViolationError,
-    EvaluationError,
-    PreconditionError,
-    StructureError,
-)
+from .equations import CLUSTER_TOL, CONDITION_LIMIT, _unit_cut
+from .errors import EvaluationError, PreconditionError, StructureError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -221,18 +217,17 @@ def blaschke_eval_at_minus(spec: BlaschkeSpec, a: np.ndarray) -> np.ndarray:
 
 
 def defect_rank(m: np.ndarray, tol: float = CLUSTER_TOL) -> int:
-    """Rank of I - m*m at the given tolerance, for a contraction ``m``."""
+    """Rank of I - m*m at the given tolerance, for a contraction ``m``.
+
+    The rank counts the eigenvalues sigma^2 of m*m below the unit cut
+    1 - tol of ``eigenvalue_one_multiplicity``; a sigma^2 above 1 + tol
+    raises ``ContractionViolationError``.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.size == 0:
         return 0
-    norm = opnorm(m)
-    if norm > 1.0 + tol:
-        raise ContractionViolationError(
-            f"matrix norm {norm!r} exceeds 1 beyond tolerance {tol}", eigenvalue=norm
-        )
-    gap = np.eye(m.shape[1]) - m.conj().T @ m
-    evals = np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)
-    return int(np.count_nonzero(evals > tol))
+    sigma2 = np.linalg.eigvalsh(hermitize(m.conj().T @ m))
+    return int(np.count_nonzero(~_unit_cut(sigma2, tol)))
 
 
 def recover_blaschke_pointwise(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from whindex import (
     BlaschkeSpec,
     InputValidationError,
     Realization,
+    StructureError,
     SymbolPair,
     blaschke_eval_at_minus,
     blaschke_realization,
@@ -196,3 +199,67 @@ def test_full_profile_takes_stability_from_the_schur_diagonal():
     for pair in (SymbolPair(marginal, good), SymbolPair(good, marginal)):
         with pytest.raises(InputValidationError, match="stable=False"):
             full_profile(pair)
+
+
+def test_discrete_gate_takes_stability_from_the_schur_diagonal():
+    # A unitary system matrix with an eigenvalue of a on the unit circle.
+    marginal = Realization([[1j]], [[0.0]], [[0.0]], [[1.0]], DISCRETE)
+    good = c2d(blaschke_realization(BlaschkeSpec(1.0, (-1.0,))))
+    for v, w in ((marginal, good), (good, marginal)):
+        with pytest.raises(InputValidationError, match="stable=False"):
+            discrete_negative_profile(v, w)
+
+
+def test_symbol_pair_refuses_mixed_flavors():
+    r = blaschke_realization(BlaschkeSpec(1.0, (-1.0,)))
+    with pytest.raises(StructureError):
+        SymbolPair(r, c2d(r))
+    with pytest.raises(StructureError):
+        SymbolPair(c2d(r), r)
+
+
+def test_discrete_profile_refuses_mismatched_output_dimensions():
+    pair = diagonal_symbol_factors([1])
+    with pytest.raises(StructureError):
+        discrete_negative_profile(c2d(pair.v), constant_realization(np.eye(2), DISCRETE))
+
+
+def test_profiles_make_no_general_eigenvalue_solve(monkeypatch):
+    # Stability is read off the Schur forms the solves need anyway.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    pair = random_symbol_pair(np.random.default_rng(49), max_m=2, max_block_degree=2)
+    v, w = c2d(pair.v), c2d(pair.w)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    discrete_negative_profile(v, w)
+    full_profile(SymbolPair(v, w))
+    full_profile(pair)
+
+
+def _flavor_cases(rng):
+    """Seeded diagonal, scalar Blaschke and twisted MIMO pairs."""
+    for _ in range(8):
+        powers = [int(x) for x in rng.integers(-4, 5, int(rng.integers(1, 4)))]
+        yield diagonal_symbol_factors(powers)
+    for _ in range(8):
+        phi = random_blaschke_spec(rng, int(rng.integers(0, 7)))
+        m = random_blaschke_spec(rng, int(rng.integers(0, 7)))
+        yield SymbolPair(blaschke_realization(phi), blaschke_realization(m))
+    for _ in range(8):
+        yield random_symbol_pair(rng, max_m=3, max_block_degree=3)
+
+
+def test_full_profile_of_discrete_pairs_matches_continuous():
+    rng = np.random.default_rng(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in _flavor_cases(rng):
+            continuous = full_profile(pair)
+            discrete = full_profile(SymbolPair(c2d(pair.v), c2d(pair.w)))
+            assert discrete.all_indices == continuous.all_indices
+            assert (discrete.mu, discrete.nu) == (continuous.mu, continuous.nu)
+            for side in ("negative_trace", "positive_trace"):
+                dims = getattr(discrete, side).kernel_dims
+                assert dims == getattr(continuous, side).kernel_dims
+            assert discrete.diagnostics["warnings"] == []

@@ -213,6 +213,14 @@ def test_defect_rank_rejects_expansions():
         defect_rank(2.0 * np.eye(2))
 
 
+def test_defect_rank_refusal_carries_the_squared_singular_value():
+    from whindex import ContractionViolationError
+
+    with pytest.raises(ContractionViolationError) as info:
+        defect_rank(np.diag([2.0, 0.5]))
+    assert info.value.eigenvalue == pytest.approx(4.0)
+
+
 def _recovery_instance(rng, n, degree):
     a, c = random_rank_one_dissipative(rng, n)
     phi = random_blaschke_spec(rng, degree)

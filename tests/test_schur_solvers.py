@@ -295,3 +295,16 @@ def test_profile_shares_four_gramian_solves(monkeypatch):
     counter.calls = 0
     solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
     assert counter.calls == 3
+
+
+def test_gramian_gate_refuses_a_well_conditioned_equation_near_the_axis():
+    # Documented conservative refusal: each coefficient has an eigenvalue
+    # 1e-12 from the axis, at frequencies 5 and 0, so sqrt(|P_a| |P_b|) grows
+    # like 1/1e-12 while the operator stays far from singular.
+    a = np.diag([-1e-12 + 5j, -1.0])
+    b = np.diag([-1e-12, -2.0])
+    singular_values = np.linalg.svd(kron.sylvester_system(a, b), compute_uv=False)
+    assert singular_values[0] / singular_values[-1] < 5.4
+    with pytest.raises(UnsolvableEquationError) as info:
+        solve_sylvester(a, b, np.ones((2, 2)))
+    assert info.value.smallest_singular_value == pytest.approx(2e-12, rel=1e-6)
