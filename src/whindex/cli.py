@@ -98,8 +98,6 @@ def load_problem_pair(payload) -> SymbolPair:
     if kind == "realization_pair":
         v = realization_from_json(payload.get("v"), "problem.v")
         w = realization_from_json(payload.get("w"), "problem.w")
-        if v.flavor != CONTINUOUS or w.flavor != CONTINUOUS:
-            raise StructureError("problem: realization_pair factors must be continuous")
         return SymbolPair(v, w)
     raise StructureError(
         f"problem.kind: expected one of diagonal_powers, scalar_blaschke_pair, "

@@ -21,18 +21,20 @@ c_circ = d_v b_w* + c_v omega a_w*, and a_w itself as the iteration map M.
 Nothing passes through ``d2c``, so the discrete path checks the continuous
 one independently.
 
-No power of M is formed.  Because M and Q are contractions, the unit
-eigenspace N_k of M^k Q M*^k obeys the one-step recursion
-
-    N_0 = ker(I - Q),    N_{k+1} = {x : |M* x| = |x| and M* x in N_k}.
-
-Indeed, for a positive contraction P the unit eigenspace of M P M* is the
-set of x with |M* x| = |x| and M* x in the unit eigenspace of P, and
-M^{k+1} Q M*^{k+1} = M (M^k Q M*^k) M* has the same unit eigenspace as
-M P_k M* with P_k the orthogonal projector onto N_k.  With B_k an
-orthonormal basis of N_k, N_{k+1} is spanned by the left singular vectors
-of the n x d_k matrix M B_k whose singular values are 1, so each step costs
-one product with M and an eigendecomposition of a d_k x d_k Gram matrix.
+No power of M is formed.  Its defect has rank at most m, the symbol size:
+I - M* M = c_d* c_d, with c_d = c_w for discrete pairs and
+c_d = sqrt(2) c_w (I - a_w)^{-1} = c_w (I + M)/sqrt(2), the output matrix
+of ``c2d(w)``, for continuous ones.  As M and Q are contractions and M
+keeps the length of y exactly when c_d y = 0, the unit eigenspace N_k of
+M^k Q M*^k obeys N_0 = ker(I - Q), N_{k+1} = M (N_k intersected with ker c_d),
+so d_k = dim(N_0 intersected with O_k) with O_k = {x : c_d M^j x = 0, j < k}
+the k-step unobservable subspace of (c_d, M), on which M^k is isometric.
+The chain keeps the m x n rows c_d M^k and an orthonormal basis Y of the
+directions of N_0 dropped so far; step k drops the right singular vectors
+of c_d M^k B_0, projected off Y, with s^2 > tol: the cut sigma^2 >= 1 - tol
+on M B_k, as sigma^2 = 1 - s^2, without the cancellation against 1.  One
+isometry check of [M; c_d] to within tol replaces the per-step refusal of
+sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.
 """
 
 from __future__ import annotations
@@ -120,33 +122,17 @@ def _counts_from_mu(mu: list[int]) -> list[int]:
     return [sum(1 for m in mu if m >= j) for j in range(1, mu[0] + 1)]
 
 
-def _unit_image(m: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the unit eigenspace of (m B)(m B)* for orthonormal B.
-
-    The singular values of m B come from one eigendecomposition of the
-    d x d Gram matrix; the left singular vectors with sigma^2 >= 1 - tol
-    are m B w / sigma, cut as in ``eigenvalue_one_multiplicity``.  Since m
-    is a contraction, sigma^2 > 1 + tol means the pipeline's promise was
-    broken.  The Gram matrix is Hermitian by construction, so its symmetry
-    is not checked.
-    """
-    image = m @ basis
-    sigma2, right = np.linalg.eigh(hermitize(image.conj().T @ image))
-    keep = _unit_cut(sigma2, tol)
-    return image @ (right[:, keep] / np.sqrt(sigma2[keep]))
-
-
 def _kernel_dimension_chain(
-    q: np.ndarray, m: np.ndarray, tol: float, cap: int
+    q: np.ndarray, w: Realization, sw: SchurForm, tol: float
 ) -> tuple[list[int], np.ndarray]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
-    Step 0 counts the unit eigenvalues of the Hermitian Q and takes an
-    orthonormal basis of their eigenspace from the same eigendecomposition;
-    every later step maps the basis by M and keeps its isometric part
-    (``_unit_image``).  Returns the chain and the eigenvalues of Q.  The
-    chain must be strictly decreasing; anything else means the input was not
-    a genuine unimodular symbol pair at this tolerance.
+    Step 0 is one eigendecomposition of the Hermitian Q.  Only if N_0 is not
+    trivial are M and c_d of w built, checked and iterated as in the module
+    docstring.  Returns the chain and the eigenvalues of Q.  A chain that is
+    not strictly decreasing means the input was not a genuine unimodular
+    symbol pair at this tolerance; as it starts at most at n, it ends within
+    n steps.
     """
     eigenvalues, basis = np.linalg.eigh(q)
     if eigenvalues.size:
@@ -157,17 +143,29 @@ def _kernel_dimension_chain(
                 eigenvalue=float(eigenvalues[0]),
             )
     dims = [basis.shape[1]]
+    if not dims[0]:
+        return dims, eigenvalues
+    if w.flavor == DISCRETE:
+        m, rows = w.a, w.c
+    else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
+        m = zeta_of_minus(sw)
+        rows = (w.c + w.c @ m) / np.sqrt(2.0)
+    residual = float(np.max(np.abs(np.linalg.eigvalsh(m.conj().T @ m + rows.conj().T @ rows) - 1)))
+    if residual > tol:
+        raise ContractionViolationError(
+            f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}", eigenvalue=residual
+        )
+    dropped = np.zeros((dims[0], 0), dtype=complex)
     while dims[-1] > 0:
-        if len(dims) > cap:
-            raise PipelineError(
-                f"kernel dimensions failed to reach zero within {cap} steps: {dims}"
-            )
-        basis = _unit_image(m, basis, tol)
-        if basis.shape[1] >= dims[-1]:
-            raise PipelineError(
-                f"kernel dimensions are not strictly decreasing: {dims + [basis.shape[1]]}"
-            )
-        dims.append(basis.shape[1])
+        x = rows @ basis
+        for _ in range(2 if dropped.size else 0):  # once loses orthogonality to roundoff
+            x -= (x @ dropped) @ dropped.conj().T
+        _, s, vh = np.linalg.svd(x, full_matrices=False)
+        dropped = np.concatenate([dropped, vh[s * s > tol].conj().T], axis=1)
+        dims.append(dims[0] - dropped.shape[1])
+        if dims[-1] >= dims[-2]:
+            raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
+        rows = rows @ m
     return dims, eigenvalues
 
 
@@ -190,8 +188,7 @@ def _negative(
     c_circ = v.d @ w.b.conj().T + coupling
     q_sol = solve(sw, sw.H, c_circ.conj().T @ c_circ)
     q = hermitize(q_sol.x)
-    m = w.a if discrete else zeta_of_minus(sw)
-    dims, eigenvalues = _kernel_dimension_chain(q, m, tol, cap=len(m) + 1)
+    dims, eigenvalues = _kernel_dimension_chain(q, w, sw, tol)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     trace = PipelineTrace(
         omega=omega_sol.x,
@@ -286,8 +283,9 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     ``pair`` may be continuous or discrete.  Each factor is validated and
     brought to Schur form once, and both sides share the result.
     Cross-checks the two runs against each other: the dual trace must carry
-    the conjugate transpose of omega, and the unit multiplicities must
-    balance the state dimensions on both sides.
+    the conjugate transpose of omega, the unit multiplicities must balance
+    the state dimensions on both sides, and the indices must sum to n_v - n_w,
+    the degree of det V minus that of det W, as both realizations are minimal.
     """
     sv, sw = _validated(pair)
     negative_trace, mu, kappa = _negative(pair, tol, sv, sw)
@@ -326,6 +324,9 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         )
     if omega_mismatch > 1e-10 * scale:
         warnings.append(f"dual coupling mismatch {omega_mismatch:.3e} above target 1e-10")
+
+    if sum(all_indices) != dim_v - dim_w:
+        raise PipelineError(f"indices {all_indices} do not sum to n_v - n_w = {dim_v - dim_w}")
 
     diagnostics = {
         "cross_checks": {"negative": neg_detail, "positive": pos_detail},

@@ -96,6 +96,20 @@ def test_indices_realization_pair(tmp_path, capsys):
     assert json.loads(out)["all_indices"] == [-1, 1]
 
 
+def test_indices_discrete_realization_pair(tmp_path, capsys):
+    from whindex import c2d, diagonal_symbol_factors
+
+    pair = diagonal_symbol_factors([-2, 1])
+    payload = {
+        "kind": "realization_pair",
+        "v": realization_to_json(c2d(pair.v)),
+        "w": realization_to_json(c2d(pair.w)),
+    }
+    code, out, _ = run(capsys, "indices", write_problem(tmp_path, payload))
+    assert code == 0
+    assert json.loads(out)["all_indices"] == [-2, 1]
+
+
 def test_indices_pretty_mode(tmp_path, capsys):
     path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [-1]})
     code, out, _ = run(capsys, "indices", path, "--pretty")

@@ -7,6 +7,7 @@ from whindex import (
     DISCRETE,
     BlaschkeSpec,
     InputValidationError,
+    PipelineError,
     Realization,
     StructureError,
     SymbolPair,
@@ -22,6 +23,7 @@ from whindex import (
     positive_profile,
     unitary_twist,
 )
+from whindex import indices
 from whindex.core import opnorm
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
@@ -263,3 +265,18 @@ def test_full_profile_of_discrete_pairs_matches_continuous():
                 dims = getattr(discrete, side).kernel_dims
                 assert dims == getattr(continuous, side).kernel_dims
             assert discrete.diagnostics["warnings"] == []
+
+
+def test_full_profile_refuses_indices_that_miss_the_degree_difference(monkeypatch):
+    # The negative chain [3, 2, 1, 0] of diag(-3, 1) skips its last step and
+    # reads [3, 2, 0]: kappa becomes (2,), so the indices (-2, 1) sum to -1,
+    # not n_v - n_w = 1 - 3.  Every earlier check still passes.
+    chain = indices._kernel_dimension_chain
+
+    def skip_a_step(q, *args):
+        dims, eigenvalues = chain(q, *args)
+        return (dims[:-2] + [0] if len(dims) > 3 else dims), eigenvalues
+
+    monkeypatch.setattr(indices, "_kernel_dimension_chain", skip_a_step)
+    with pytest.raises(PipelineError, match=r"\[-2, 1\] do not sum to n_v - n_w = -2"):
+        full_profile(diagonal_symbol_factors([-3, 1]))

@@ -1,26 +1,30 @@
-"""Kernel chain by one-step subspace recursion, checked against the matrix-power reference."""
+"""Kernel chain in defect form, checked against the matrix-power reference."""
 
 import numpy as np
 import pytest
 
 import chain_oracle
 from whindex import (
+    DISCRETE,
     ContractionViolationError,
     PipelineError,
+    Realization,
     SymbolPair,
     blaschke_realization,
     c2d,
     diagonal_symbol_factors,
+    direct_sum,
     discrete_negative_profile,
     full_profile,
     negative_profile,
     positive_profile,
+    unitary_twist,
     winding_number,
     zeta_of_minus,
 )
-from whindex.equations import CLUSTER_TOL, unit_eigenvectors
-from whindex.indices import _unit_image
-from whindex.sampling import random_blaschke_spec, random_symbol_pair
+from whindex import indices
+from whindex.equations import CLUSTER_TOL, schur_form
+from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
 #: Degrees of the acceptance sweep and the cyclic shifts pairing them.
 SWEEP_DEGREES = tuple(range(8, 21))
@@ -71,26 +75,107 @@ def test_chain_matches_power_oracle_discrete():
         _assert_matches_oracle(label + "-discrete-swapped", trace, v.a)
 
 
-def test_chain_bases_stay_orthonormal_at_k128():
-    pair = diagonal_symbol_factors([-128, 128])
+def _dropped_bases(pair, monkeypatch):
+    """Chain of the negative side and every basis Y of dropped directions it built."""
     trace, _, _ = negative_profile(pair)
-    m = zeta_of_minus(pair.w.a)
-    basis = unit_eigenvectors(trace.q, CLUSTER_TOL)
-    dims = [basis.shape[1]]
-    worst = 0.0
-    while basis.shape[1]:
-        worst = max(worst, np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1]), 2))
-        basis = _unit_image(m, basis, CLUSTER_TOL)
-        dims.append(basis.shape[1])
-    assert tuple(dims) == trace.kernel_dims == tuple(range(128, -1, -1))
+    bases = []
+    concatenate = np.concatenate
+
+    def record(arrays, **kwargs):
+        bases.append(concatenate(arrays, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(np, "concatenate", record)
+    dims, _ = indices._kernel_dimension_chain(trace.q, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
+    monkeypatch.undo()
+    assert tuple(dims) == trace.kernel_dims
+    assert len(bases) == len(dims) - 1
+    return dims, max(np.linalg.norm(y.conj().T @ y - np.eye(y.shape[1]), 2) for y in bases)
+
+
+def _twisted_pair(rng, specs_v, specs_w):
+    """V = U1 diag(phi_i) S and W = U2 diag(m_i) S for one shared unitary S."""
+    shared = random_unitary(rng, len(specs_v))
+
+    def inner(specs):
+        r = blaschke_realization(specs[0])
+        for spec in specs[1:]:
+            r = direct_sum(r, blaschke_realization(spec))
+        left = unitary_twist(r, random_unitary(rng, len(specs)), "left")
+        return unitary_twist(left, shared, "right")
+
+    return SymbolPair(inner(specs_v), inner(specs_w))
+
+
+def test_chain_bases_stay_orthonormal_at_k128(monkeypatch):
+    dims, worst = _dropped_bases(diagonal_symbol_factors([-128, 128]), monkeypatch)
+    assert tuple(dims) == tuple(range(128, -1, -1))
     assert worst <= 1e-12
 
 
+def test_dropped_directions_stay_orthonormal_on_twisted_mimo_pairs(monkeypatch):
+    # W blocks of degree 4-13; with one projection per step instead of two,
+    # Y drifts up to 4e-10 from orthonormal on these seeds.
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 3105])
+        phis = [random_blaschke_spec(rng, int(rng.integers(0, 4))) for _ in range(3)]
+        ms = [random_blaschke_spec(rng, int(rng.integers(4, 14))) for _ in range(3)]
+        _, worst = _dropped_bases(_twisted_pair(rng, phis, ms), monkeypatch)
+        assert worst <= 1e-12, seed
+
+
 def test_chain_step_refuses_a_stretching_map():
-    # sigma^2 = 1.5^2 on the unit subspace: the iteration map is not the promised contraction.
+    # M = 1.5 I with c_d = 0: sigma^2([M; c_d]) = 2.25, 1.25 away from 1.
+    w = Realization(1.5 * np.eye(3), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(1), DISCRETE)
     with pytest.raises(ContractionViolationError) as info:
-        _unit_image(1.5 * np.eye(3), np.eye(3)[:, :2], CLUSTER_TOL)
-    assert abs(info.value.eigenvalue - 2.25) < 1e-12
+        indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), CLUSTER_TOL)
+    assert abs(info.value.eigenvalue - 1.25) < 1e-12
+
+
+def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
+    """After the n x n eigh of step 0 and one n x n eigvalsh for the isometry
+    check, every decomposition of the chain is an SVD with at most m rows."""
+    calls, inside = [], []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def record(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            if inside:
+                calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    chain = indices._kernel_dimension_chain
+    chains = []
+
+    def traced_chain(q, *args, **kwargs):
+        inside.append(True)
+        calls.clear()
+        try:
+            dims, eigenvalues = chain(q, *args, **kwargs)
+        finally:
+            inside.clear()
+        chains.append((len(q), dims, list(calls)))
+        return dims, eigenvalues
+
+    monkeypatch.setattr(indices, "_kernel_dimension_chain", traced_chain)
+    rng = np.random.default_rng(3106)
+    pairs = [diagonal_symbol_factors([-16, 16]), diagonal_symbol_factors([-3, 2, -1])]
+    pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
+    for pair in pairs:
+        chains.clear()
+        full_profile(pair)
+        assert len(chains) == 2
+        for n, dims, recorded in chains:
+            assert recorded[0] == ("eigh", (n, n))
+            steps = recorded[1:]
+            if dims[0]:
+                assert steps[0] == ("eigvalsh", (n, n))
+                steps = steps[1:]
+            assert [name for name, _ in steps] == ["svd"] * (len(dims) - 1)
+            assert all(shape[0] <= pair.output_dim for _, shape in steps)
+
+
+def test_negative_chain_at_k256():
+    trace, _, _ = negative_profile(diagonal_symbol_factors([-256, 256]))
+    assert trace.kernel_dims == tuple(range(256, -1, -1))
 
 
 def _sweep_pairs(seed):
