@@ -27,13 +27,17 @@ Cauchy-Schwarz in the trace inner product and then in t gives
 = tr(y* P_a y)^{1/2} tr(c P_b c*)^{1/2} <= sqrt(|P_a| |P_b|) |y|_F |c|_F.
 
 In Schur coordinates each Gramian is one ``ztrsyl`` call on the triangular
-factor and one Hermitian eigenvalue solve, and it is cached on the
-factorization, so a matrix and its adjoint need two calls in all, however
-many equations they enter.  In every other case -- the Stein equation, or a
-Sylvester coefficient that is not Hurwitz -- the norm of the inverse is
-estimated from below with the Hager/Higham estimator, driven by ``ztrsyl``
-and its conjugate-transposed form as LAPACK ``ztrsna`` does when it
-estimates ``sep``, followed by one power step.
+factor, cached on the factorization, so a matrix and its adjoint need two
+calls in all, however many equations they enter.  Like every tolerance
+check in whindex whose value is not reported, the gate decides with the
+Frobenius norm first, as |P|_2 <= |P|_F: it accepts if the operator norm
+bound times sqrt(|P_a|_F |P_b|_F) is at most half the limit, and otherwise
+applies the 2-norm rule above, one Hermitian eigenvalue solve per Gramian.
+The decision is always the 2-norm rule's.  In every other case -- the Stein
+equation, or a Sylvester coefficient that is not Hurwitz -- the norm of the
+inverse is estimated from below with the Hager/Higham estimator, driven by
+``ztrsyl`` and its conjugate-transposed form as LAPACK ``ztrsna`` does when
+it estimates ``sep``, followed by one power step.
 
 SciPy's LAPACK wrappers are loaded by the first factorization rather than
 with the package, and without the ``scipy.linalg`` package around them,
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import hermitize, opnorm
+from .core import _frobenius, _screen, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -101,30 +105,56 @@ class SchurForm:
     stands for ``a*`` instead, so a matrix and its adjoint share one
     factorization.  The solvers and ``zeta_of_minus`` accept a SchurForm
     wherever they accept the matrix it stands for, and then reuse the
-    factorization.
+    factorization.  A form and its adjoint share what is derived from the
+    factorization, each item computed on first use: the adjoint form, the
+    dense a* and u*, the norm bound and Hurwitz flag of t, and the Gramian of
+    each with its Frobenius norm (``_gramian_norm``).
     """
 
     a: np.ndarray
     t: np.ndarray
     u: np.ndarray
     adjoint: bool = False
-    #: Gramian norms by ``adjoint``, shared with the form's adjoint (see ``_gramian_norm``).
-    _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
 
+    def _memo(self, key, compute):
+        """``compute()``, evaluated once for this factorization and its adjoint."""
+        if key not in self._shared:
+            self._shared[key] = compute()
+        return self._shared[key]
+
     @property
     def H(self) -> "SchurForm":
         """The same factorization standing for the adjoint matrix."""
-        other = replace(self, adjoint=not self.adjoint)
-        object.__setattr__(other, "_gramians", self._gramians)
-        return other
+        key = "form", not self.adjoint
+        if key not in self._shared:
+            other = replace(self, adjoint=not self.adjoint)
+            object.__setattr__(other, "_shared", self._shared)
+            self._shared.update({("form", self.adjoint): self, key: other})
+        return self._shared[key]
 
     @property
     def matrix(self) -> np.ndarray:
         """The matrix this form stands for, a or a*."""
-        return self.a.conj().T if self.adjoint else self.a
+        return self._memo("a*", lambda: self.a.conj().T) if self.adjoint else self.a
+
+    @property
+    def uh(self) -> np.ndarray:
+        """u*, the inverse of u."""
+        return self._memo("u*", lambda: self.u.conj().T)
+
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
+        return self._memo("norm bound", lambda: _norm_bound(self.t))
+
+    @property
+    def hurwitz(self) -> bool:
+        """Whether every eigenvalue of the non-empty represented matrix has negative real part."""
+        return self._memo("hurwitz", lambda: bool(np.diag(self.t).real.max() < 0.0))
 
     def op(self) -> np.ndarray:
         """The represented triangular factor, t or t*."""
@@ -133,6 +163,11 @@ class SchurForm:
     def shifted(self, s: complex) -> np.ndarray:
         """Upper triangular r with op(r) = op(t) + s I."""
         return self.t + (np.conj(s) if self.adjoint else s) * np.eye(len(self.t))
+
+
+def _norm_bound(t: np.ndarray) -> float:
+    mag = np.abs(t)
+    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
 def _square(a) -> np.ndarray:
@@ -171,15 +206,16 @@ class EquationSolution:
     residual: float
 
 
-def _equation_inputs(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    a, b = _square(a), _square(b)
+def _equation_inputs(a, b, c) -> tuple:
+    """a and b checked square unless they come as SchurForms, and c checked against them."""
+    a, b = (m if isinstance(m, SchurForm) else _square(m) for m in (a, b))
     c = np.atleast_2d(np.asarray(c, dtype=complex))
-    p, q = a.shape[0], b.shape[0]
+    p, q = len(a), len(b)
     if c.size == 0 and (p == 0 or q == 0):
         c = np.zeros((p, q), dtype=complex)
     if c.shape != (p, q):
         raise StructureError(f"c must be {p}x{q}, got {c.shape}")
-    return a, b, c, p, q
+    return a, b, c
 
 
 def _trans(f: SchurForm, adjoint: bool) -> str:
@@ -192,45 +228,39 @@ def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, ad
     y, scale, _ = _lapack().ztrsyl(
         ta, tb, rhs, trana=_trans(fa, adjoint), tranb=_trans(fb, adjoint)
     )
-    return y / scale
+    return y if scale == 1.0 else y / scale
 
 
-def _norm_bound(t: np.ndarray) -> float:
-    """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
-    mag = np.abs(t)
-    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+def _gramian_norm(f: SchurForm, exact: bool) -> float:
+    """Frobenius norm, or with ``exact`` the 2-norm, of P with op(t) P + P op(t)* + I = 0.
 
-
-def _hurwitz(f: SchurForm) -> bool:
-    """Whether every eigenvalue of the non-empty represented matrix has negative real part."""
-    return bool(np.diag(f.t).real.max() < 0.0)
-
-
-def _gramian_norm(f: SchurForm) -> float:
-    """2-norm of the Gramian P with op(t) P + P op(t)* + I = 0, for Hurwitz op(t).
-
-    P is Hermitian positive definite, so its norm is its largest eigenvalue
-    magnitude.  The value is cached on the factorization, shared by ``f``
-    and ``f.H``; a non-finite solution gives an infinite norm.
+    op(t) is Hurwitz, so P is Hermitian positive definite and its 2-norm is its
+    largest eigenvalue magnitude.  P and |P|_F are cached on the factorization,
+    shared by ``f`` and ``f.H``; a non-finite solution gives infinite norms.
     """
-    if f.adjoint not in f._gramians:
+
+    def solve():
         p = _trsyl(f, f.t, f.H, f.t, -np.eye(len(f)), False)
-        finite = np.isfinite(p).all()
-        f._gramians[f.adjoint] = float(np.abs(np.linalg.eigvalsh(p)).max()) if finite else np.inf
-    return f._gramians[f.adjoint]
+        return (p, _frobenius(p)) if np.isfinite(p).all() else (None, np.inf)
+
+    p, frobenius = f._memo(("gramian", f.adjoint), solve)
+    return float(np.abs(np.linalg.eigvalsh(p)).max()) if exact and p is not None else frobenius
 
 
 def _sylvester_operator(fa: SchurForm, fb: SchurForm):
     """2-norm bound of y -> op(ta) y + y op(tb), a solver for it and its adjoint,
-    and the Gramian bound on the 2-norm of its inverse (None unless both are Hurwitz)."""
+    and a Gramian bound on the 2-norm of its inverse (None unless both are Hurwitz):
+    sqrt(|P_a|_F |P_b|_F) where ``_screen`` accepts with it, sqrt(|P_a|_2 |P_b|_2) otherwise."""
 
     def solve(rhs, adjoint=False):
         return _trsyl(fa, fa.t, fb, fb.t, rhs, adjoint)
 
-    inverse_bound = None
-    if _hurwitz(fa) and _hurwitz(fb):
-        inverse_bound = float(np.sqrt(_gramian_norm(fa) * _gramian_norm(fb)))
-    return _norm_bound(fa.t) + _norm_bound(fb.t), solve, inverse_bound
+    norm, inverse_bound = fa.norm_bound + fb.norm_bound, None
+    if fa.hurwitz and fb.hurwitz:
+        inverse_bound = float(np.sqrt(_gramian_norm(fa, False) * _gramian_norm(fb, False)))
+        if not _screen(norm * inverse_bound, CONDITION_LIMIT):
+            inverse_bound = float(np.sqrt(_gramian_norm(fa, True) * _gramian_norm(fb, True)))
+    return norm, solve, inverse_bound
 
 
 def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
@@ -270,7 +300,7 @@ def _stein_operator(fa: SchurForm, fb: SchurForm):
             return -2.0 * (ia.conj().T @ _trsyl(fa, ca, fb, cb, rhs, True) @ ib.conj().T)
         return _trsyl(fa, ca, fb, cb, -2.0 * (ia @ rhs @ ib), False)
 
-    return 1.0 + _norm_bound(fa.t) * _norm_bound(fb.t), solve, None
+    return 1.0 + fa.norm_bound * fb.norm_bound, solve, None
 
 
 def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
@@ -326,8 +356,8 @@ def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.nd
             f"(estimated smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    y = solve(fa.u.conj().T @ c @ fb.u)
-    return fa.u @ y @ fb.u.conj().T
+    y = solve(fa.uh @ c @ fb.u)
+    return fa.u @ y @ fb.uh
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:
@@ -339,12 +369,11 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolu
     empty solution is returned.  ``a`` and ``b`` may be given as
     ``SchurForm`` objects, whose factorizations are then reused.
     """
-    fa, fb = a, b
-    a, b, c, p, q = _equation_inputs(_dense(a), _dense(b), c)
-    if p == 0 or q == 0:
-        return EquationSolution(np.zeros((p, q), dtype=complex), 0.0)
-    x = _solve_gated(_factored(fa), _factored(fb), -c, _sylvester_operator)
-    residual = opnorm(a @ x + x @ b + c)
+    a, b, c = _equation_inputs(a, b, c)
+    if c.size == 0:
+        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
+    x = _solve_gated(_factored(a), _factored(b), -c, _sylvester_operator)
+    residual = opnorm(_dense(a) @ x + x @ _dense(b) + c)
     return EquationSolution(x, residual)
 
 
@@ -355,12 +384,11 @@ def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution
     with an eigenvalue of ``b`` equals one; both factors being Schur stable
     guarantees this.  ``a`` and ``b`` may be given as ``SchurForm`` objects.
     """
-    fa, fb = a, b
-    a, b, c, p, q = _equation_inputs(_dense(a), _dense(b), c)
-    if p == 0 or q == 0:
-        return EquationSolution(np.zeros((p, q), dtype=complex), 0.0)
-    x = _solve_gated(_factored(fa), _factored(fb), c, _stein_operator)
-    residual = opnorm(x - a @ x @ b - c)
+    a, b, c = _equation_inputs(a, b, c)
+    if c.size == 0:
+        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
+    x = _solve_gated(_factored(a), _factored(b), c, _stein_operator)
+    residual = opnorm(x - _dense(a) @ x @ _dense(b) - c)
     return EquationSolution(x, residual)
 
 

@@ -34,7 +34,8 @@ directions of N_0 dropped so far; step k drops the right singular vectors
 of c_d M^k B_0, projected off Y, with s^2 > tol: the cut sigma^2 >= 1 - tol
 on M B_k, as sigma^2 = 1 - s^2, without the cancellation against 1.  One
 isometry check of [M; c_d] to within tol replaces the per-step refusal of
-sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.
+sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like the
+validation of the factors, it decides with the Frobenius screen first.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from .core import (
     SymbolPair,
     hermitize,
     opnorm,
-    _stable_dissipative_report,
-    _stable_unitary_report,
+    _frobenius,
+    _screen,
+    _screened_report,
 )
 from .equations import (
     CLUSTER_TOL,
@@ -100,15 +102,13 @@ class IndexProfile:
 def _validated(pair: SymbolPair) -> tuple[SchurForm, SchurForm]:
     """Schur forms of a_v and a_w, shared by every solve of one profile, after
     validating each factor with the eigenvalues on the diagonal of its form:
-    stable dissipative for continuous factors, stable unitary for discrete ones."""
+    stable dissipative for continuous factors, stable unitary for discrete ones.
+    The full report is computed only where the screen cannot accept the factor."""
     forms = schur_form(pair.v.a), schur_form(pair.w.a)
-    if pair.v.flavor == DISCRETE:
-        report_of, promise = _stable_unitary_report, "stable unitary"
-    else:
-        report_of, promise = _stable_dissipative_report, "stable dissipative"
+    promise = "stable unitary" if pair.v.flavor == DISCRETE else "stable dissipative"
     for name, r, f in (("v", pair.v, forms[0]), ("w", pair.w, forms[1])):
-        report = report_of(r, np.diag(f.t))
-        if not report.verdict:
+        report = _screened_report(r, np.diag(f.t))
+        if report is not None and not report.verdict:
             raise InputValidationError(
                 f"factor {name} is not {promise} "
                 f"(stable={report.stable}, max residual={report.max_residual:.3e})"
@@ -150,11 +150,13 @@ def _kernel_dimension_chain(
     else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
         m = zeta_of_minus(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
-    residual = float(np.max(np.abs(np.linalg.eigvalsh(m.conj().T @ m + rows.conj().T @ rows) - 1)))
-    if residual > tol:
-        raise ContractionViolationError(
-            f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}", eigenvalue=residual
-        )
+    gram = m.conj().T @ m + rows.conj().T @ rows
+    if not _screen(_frobenius(gram - np.eye(len(gram))), tol):
+        residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
+        if residual > tol:
+            raise ContractionViolationError(
+                f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}", eigenvalue=residual
+            )
     dropped = np.zeros((dims[0], 0), dtype=complex)
     while dims[-1] > 0:
         x = rows @ basis

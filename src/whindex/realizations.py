@@ -98,8 +98,9 @@ def zeta_power_realization(n: int) -> Realization:
     if n < 1:
         raise StructureError(f"power must be a positive integer, got {n}")
     a = -np.eye(n, dtype=complex)
-    for k in range(1, n):
-        a += 2.0 * (-1.0) ** (k + 1) * np.eye(n, k=k, dtype=complex)
+    if n > 1:  # adding a 1 x 1 zero would flip the sign of the zero imaginary part
+        offset = np.arange(n) - np.arange(n)[:, None]  # j - i at entry (i, j)
+        a += np.triu(np.where(offset % 2, 2.0, -2.0), 1)
     b = _SQRT2 * np.array([[(-1.0) ** (n - 1 - i)] for i in range(n)], dtype=complex)
     c = _SQRT2 * np.array([[(-1.0) ** j for j in range(n)]], dtype=complex)
     d = np.array([[(-1.0) ** n]], dtype=complex)

@@ -66,6 +66,15 @@ def test_zeta_power_four_is_unimodular_on_axis():
         assert abs(abs(eval_transfer(r, 1j * omega)[0, 0]) - 1.0) < 1e-10
 
 
+def test_zeta_power_state_matrix_is_the_toeplitz_sum_bit_for_bit():
+    # The sum of shifted identities the state matrix is defined by, O(n^3) to build.
+    for n in list(range(1, 21)) + [128]:
+        a = -np.eye(n, dtype=complex)
+        for k in range(1, n):
+            a += 2.0 * (-1.0) ** (k + 1) * np.eye(n, k=k, dtype=complex)
+        assert zeta_power_realization(n).a.tobytes() == a.tobytes()
+
+
 def test_zeta_power_rejects_nonpositive():
     with pytest.raises(StructureError):
         zeta_power_realization(0)
