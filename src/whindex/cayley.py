@@ -56,7 +56,7 @@ def d2c(r: Realization) -> Realization:
     Stable unitary inputs give stable dissipative outputs.
     """
     if r.flavor != DISCRETE:
-        raise StructureError("d2c expects a discrete realization")
+        raise StructureError("d2c expects a discrete realization, got a continuous one")
     return _signed_map(r, -1.0, CONTINUOUS)
 
 
@@ -68,5 +68,5 @@ def c2d(r: Realization) -> Realization:
     Stable dissipative inputs give stable unitary outputs.
     """
     if r.flavor != CONTINUOUS:
-        raise StructureError("c2d expects a continuous realization")
+        raise StructureError("c2d expects a continuous realization, got a discrete one")
     return _signed_map(r, 1.0, DISCRETE)

@@ -342,7 +342,8 @@ def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDAT
     m = r.output_dim
     if u.shape != (m, m):
         raise StructureError(f"twist matrix must be {m}x{m}, got {u.shape}")
-    if opnorm(u.conj().T @ u - np.eye(m)) > tol:
+    defect = u.conj().T @ u - np.eye(m)
+    if not _screen(_frobenius(defect), tol) and opnorm(defect) > tol:
         raise StructureError("twist matrix is not unitary within tolerance")
     if side == "left":
         return Realization(r.a, r.b, u @ r.c, u @ r.d, r.flavor)

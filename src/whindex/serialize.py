@@ -76,16 +76,9 @@ def realization_from_json(payload, where: str = "realization") -> Realization:
     if flavor not in ("continuous", "discrete"):
         raise StructureError(f"{where}.flavor: must be 'continuous' or 'discrete', got {flavor!r}")
     d = matrix_from_json(payload["d"], f"{where}.d")
-    m = d.shape[0]
     a = matrix_from_json(payload["a"], f"{where}.a")
-    n = a.shape[0]
     b = matrix_from_json(payload["b"], f"{where}.b")
     c = matrix_from_json(payload["c"], f"{where}.c")
-    # Empty nested arrays lose one dimension; restore the intended shapes.
-    if n == 0:
-        a = a.reshape(0, 0)
-        b = b.reshape(0, m)
-        c = np.zeros((m, 0), dtype=complex) if c.size == 0 else c
     try:
         return Realization(a, b, c, d, flavor)
     except StructureError as exc:

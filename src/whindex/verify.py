@@ -296,7 +296,8 @@ def _cayley_property_transfer(rng, cases):
             )
             if diff > 1e-8:
                 return {"case": k, "what": "spectrum_map", "diff": float(diff)}
-            if float(np.max(np.abs(rd.a - zeta_of_minus(r.a)))) > 1e-12:
+            eye = np.eye(r.state_dim)
+            if float(np.max(np.abs(rd.a - np.linalg.solve(eye - r.a, eye + r.a)))) > 1e-12:
                 return {"case": k, "what": "state_map_identity"}
         for _ in range(3):
             s = complex(rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0))

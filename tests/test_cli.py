@@ -133,6 +133,15 @@ def test_indices_malformed_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "indices", write_problem(tmp_path, payload))
     assert code == 2 and "powers[1]" in err
 
+    payload = {
+        "kind": "realization_pair",
+        "v": {"flavor": "continuous", "a": [], "b": [[[1.0, 0.0]]], "c": [],
+              "d": [[[1.0, 0.0]]]},
+        "w": realization_to_json(zeta_power_realization(1)),
+    }
+    code, _, err = run(capsys, "indices", write_problem(tmp_path, payload))
+    assert code == 2 and "problem.v: b must be 0x1, got shape (1, 1)" in err
+
 
 def test_indices_rejects_invalid_realization_pair(tmp_path, capsys):
     payload = {

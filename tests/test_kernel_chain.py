@@ -132,6 +132,20 @@ def test_chain_step_refuses_a_stretching_map():
     assert abs(info.value.eigenvalue - 1.25) < 1e-12
 
 
+def test_chain_refuses_a_drop_larger_than_the_one_before():
+    # M e2 = e1 and M e3 = e4 with c_d = [e1*; e4*], so [M; c_d] is an isometry.
+    # On N_0 = span(e1, e2, e3) the chain reads [3, 2, 0]: drops 1, then 2,
+    # which no partition of the indices has.
+    a = np.zeros((4, 4))
+    a[0, 1] = a[3, 2] = 1.0
+    c = np.zeros((2, 4))
+    c[0, 0] = c[1, 3] = 1.0
+    w = Realization(a, np.zeros((4, 2)), c, np.eye(2), DISCRETE)
+    q = np.diag([1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(PipelineError, match=r"drops are not non-increasing: \[3, 2, 0\]"):
+        indices._kernel_dimension_chain(q, w, schur_form(w.a), CLUSTER_TOL)
+
+
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     """After the n x n eigh of step 0, every decomposition of the chain is an
     SVD with at most m rows: the Frobenius screen decides the isometry check

@@ -6,17 +6,19 @@ import pytest
 from whindex import (
     InputValidationError,
     Realization,
+    StructureError,
     SymbolPair,
     blaschke_realization,
     c2d,
     diagonal_symbol_factors,
     full_profile,
+    unitary_twist,
     validate_stable_dissipative,
 )
 from whindex import core, equations, indices
 from whindex.cli import build_report
 from whindex.equations import CLUSTER_TOL
-from whindex.sampling import random_blaschke_spec, random_symbol_pair
+from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 from whindex.serialize import canonical_json
 
 
@@ -87,3 +89,22 @@ def test_a_residual_the_screen_cannot_accept_is_decided_by_the_exact_rule(monkey
     with pytest.raises(InputValidationError) as info:
         full_profile(SymbolPair(stretched, good))
     assert str(info.value) == expected
+
+
+def test_a_twist_the_screen_cannot_accept_is_decided_by_the_exact_rule(monkeypatch):
+    tol = core.VALIDATION_TOL
+    exact = []
+
+    def recorded(x, _opnorm=core.opnorm):
+        exact.append(_opnorm(x))
+        return exact[-1]
+
+    monkeypatch.setattr(core, "opnorm", recorded)
+    r = diagonal_symbol_factors([1, 2]).v
+    unitary_twist(r, random_unitary(np.random.default_rng(3111), 2), "left")
+    assert exact == []
+    # |u*u - I|_F = 1.13 tol is above tol/2, |u*u - I|_2 = 0.8 tol is within tol.
+    unitary_twist(r, np.sqrt(1 + 0.8 * tol) * np.eye(2), "right")
+    assert len(exact) == 1 and exact[0] == pytest.approx(0.8 * tol, rel=1e-6)
+    with pytest.raises(StructureError, match="^twist matrix is not unitary within tolerance$"):
+        unitary_twist(r, np.diag([np.sqrt(1 + 1.5 * tol), 1.0]), "left")
