@@ -27,17 +27,20 @@ Cauchy-Schwarz in the trace inner product and then in t gives
 = tr(y* P_a y)^{1/2} tr(c P_b c*)^{1/2} <= sqrt(|P_a| |P_b|) |y|_F |c|_F.
 
 In Schur coordinates each Gramian is one ``ztrsyl`` call on the triangular
-factor, cached on the factorization, so a matrix and its adjoint need two
-calls in all, however many equations they enter.  Like every tolerance
-check in whindex whose value is not reported, the gate decides with the
-Frobenius norm first, as |P|_2 <= |P|_F: it accepts if the operator norm
-bound times sqrt(|P_a|_F |P_b|_F) is at most half the limit, and otherwise
-applies the 2-norm rule above, one Hermitian eigenvalue solve per Gramian.
-The decision is always the 2-norm rule's.  In every other case -- the Stein
-equation, or a Sylvester coefficient that is not Hurwitz -- the norm of the
-inverse is estimated from below with the Hager/Higham estimator, driven by
-``ztrsyl`` and its conjugate-transposed form as LAPACK ``ztrsna`` does when
-it estimates ``sep``, followed by one power step.
+factor, cached on the factorization.  Like every tolerance check in whindex
+whose value is not reported, the gate decides with a cheaper upper bound
+first.  P is positive semidefinite, so |P|_2 <= tr P, and
+tr P = int_0^inf |e^{at}|_F^2 dt is the same for a and a*: one Gramian
+solve per factorization screens a matrix and its adjoint, however many
+equations they enter.  The gate accepts if the operator norm bound times
+sqrt(tr P_a tr P_b) is at most half the limit, and otherwise applies the
+2-norm rule above, with each orientation's own Gramian and one Hermitian
+eigenvalue solve for it.  The decision is always the 2-norm rule's.  In
+every other case -- the Stein equation, or a Sylvester coefficient that is
+not Hurwitz -- the norm of the inverse is estimated from below with the
+Hager/Higham estimator, driven by ``ztrsyl`` and its conjugate-transposed
+form as LAPACK ``ztrsna`` does when it estimates ``sep``, followed by one
+power step.
 
 SciPy's LAPACK wrappers are loaded by the first factorization rather than
 with the package, and without the ``scipy.linalg`` package around them,
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _frobenius, _screen, hermitize, opnorm
+from .core import _screen, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -107,8 +110,9 @@ class SchurForm:
     wherever they accept the matrix it stands for, and then reuse the
     factorization.  A form and its adjoint share what is derived from the
     factorization, each item computed on first use: the adjoint form, the
-    dense a* and u*, the norm bound and Hurwitz flag of t, and the Gramian of
-    each with its Frobenius norm (``_gramian_norm``).
+    dense a* and u*, the norm bound and Hurwitz flag of t, the Gramian of
+    each orientation, and the Gramian trace, which is the same for both, so
+    one Gramian solve per factorization screens both (``_gramian_trace``).
     """
 
     a: np.ndarray
@@ -231,35 +235,50 @@ def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, ad
     return y if scale == 1.0 else y / scale
 
 
-def _gramian_norm(f: SchurForm, exact: bool) -> float:
-    """Frobenius norm, or with ``exact`` the 2-norm, of P with op(t) P + P op(t)* + I = 0.
+def _gramian(f: SchurForm) -> tuple[np.ndarray | None, float]:
+    """P with op(t) P + P op(t)* + I = 0 and its trace, cached per orientation.
 
-    op(t) is Hurwitz, so P is Hermitian positive definite and its 2-norm is its
-    largest eigenvalue magnitude.  P and |P|_F are cached on the factorization,
-    shared by ``f`` and ``f.H``; a non-finite solution gives infinite norms.
+    P is None when it is not finite.  The trace is infinite then, and also where
+    ztrsyl perturbed a near-singular pivot, as P is then no semidefinite Gramian.
     """
 
     def solve():
-        p = _trsyl(f, f.t, f.H, f.t, -np.eye(len(f)), False)
-        return (p, _frobenius(p)) if np.isfinite(p).all() else (None, np.inf)
+        p, scale, info = _lapack().ztrsyl(
+            f.t, f.t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
+        )
+        if not np.isfinite(p).all():
+            return None, np.inf
+        p = p if scale == 1.0 else p / scale
+        return p, np.inf if info else float(np.trace(p).real)
 
-    p, frobenius = f._memo(("gramian", f.adjoint), solve)
-    return float(np.abs(np.linalg.eigvalsh(p)).max()) if exact and p is not None else frobenius
+    return f._memo(("gramian", f.adjoint), solve)
+
+
+def _gramian_trace(f: SchurForm) -> float:
+    """tr P of the orientation asked first, cached for f and f.H: P >= 0 gives
+    |P|_2 <= tr P, and tr P = int |e^{op(t) s}|_F^2 ds is the same for op(t)*."""
+    return f._memo("gramian trace", lambda: _gramian(f)[1])
+
+
+def _gramian_norm(f: SchurForm) -> float:
+    """|P|_2, the largest eigenvalue magnitude of the Hermitian P of ``_gramian``."""
+    p = _gramian(f)[0]
+    return np.inf if p is None else float(np.abs(np.linalg.eigvalsh(p)).max())
 
 
 def _sylvester_operator(fa: SchurForm, fb: SchurForm):
     """2-norm bound of y -> op(ta) y + y op(tb), a solver for it and its adjoint,
     and a Gramian bound on the 2-norm of its inverse (None unless both are Hurwitz):
-    sqrt(|P_a|_F |P_b|_F) where ``_screen`` accepts with it, sqrt(|P_a|_2 |P_b|_2) otherwise."""
+    sqrt(tr P_a tr P_b) where ``_screen`` accepts with it, sqrt(|P_a|_2 |P_b|_2) otherwise."""
 
     def solve(rhs, adjoint=False):
         return _trsyl(fa, fa.t, fb, fb.t, rhs, adjoint)
 
     norm, inverse_bound = fa.norm_bound + fb.norm_bound, None
     if fa.hurwitz and fb.hurwitz:
-        inverse_bound = float(np.sqrt(_gramian_norm(fa, False) * _gramian_norm(fb, False)))
+        inverse_bound = float(np.sqrt(_gramian_trace(fa) * _gramian_trace(fb)))
         if not _screen(norm * inverse_bound, CONDITION_LIMIT):
-            inverse_bound = float(np.sqrt(_gramian_norm(fa, True) * _gramian_norm(fb, True)))
+            inverse_bound = float(np.sqrt(_gramian_norm(fa) * _gramian_norm(fb)))
     return norm, solve, inverse_bound
 
 

@@ -32,10 +32,13 @@ keeps the length of y exactly when c_d y = 0, the unit eigenspace N_k of
 M^k Q M*^k obeys N_0 = ker(I - Q), N_{k+1} = M (N_k intersected with ker c_d),
 so d_k = dim(N_0 intersected with O_k) with O_k = {x : c_d M^j x = 0, j < k}
 the k-step unobservable subspace of (c_d, M), on which M^k is isometric.
-The chain keeps the m x n rows c_d M^k and an orthonormal basis Y of the
-directions of N_0 dropped so far; step k drops the right singular vectors
-of c_d M^k B_0, projected off Y, with s^2 > tol: the cut sigma^2 >= 1 - tol
-on M B_k, as sigma^2 = 1 - s^2, without the cancellation against 1.  One
+The chain keeps an orthonormal basis Y of the directions of N_0 dropped so
+far, with Y*, in preallocated d_0 x d_0 buffers; step k drops the right
+singular vectors of c_d M^k B_0, projected off Y, with s^2 > tol: the cut
+sigma^2 >= 1 - tol on M B_k, as sigma^2 = 1 - s^2, without the cancellation
+against 1.  A step drops at most m directions, so with d_k left at least
+ceil(d_k / m) steps remain; the chain builds the m x n rows c_d M^j of
+those steps and forms all their images c_d M^j B_0 with one product.  One
 isometry check of [M; c_d] to within tol replaces the per-step refusal of
 sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like the
 validation of the factors, it decides with the Frobenius screen first.
@@ -160,20 +163,33 @@ def _kernel_dimension_chain(
             raise ContractionViolationError(
                 f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}", eigenvalue=residual
             )
-    dropped = np.zeros((dims[0], 0), dtype=complex)
-    while dims[-1] > 0:
-        x = rows @ basis
-        for _ in range(2 if dropped.size else 0):  # once loses orthogonality to roundoff
-            x -= (x @ dropped) @ dropped.conj().T
-        _, s, vh = np.linalg.svd(x, full_matrices=False)
-        dropped = np.concatenate([dropped, vh[s * s > tol].conj().T], axis=1)
-        dims.append(dims[0] - dropped.shape[1])
-        if dims[-1] >= dims[-2]:
-            raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
-        if len(dims) > 2 and dims[-2] - dims[-1] > dims[-3] - dims[-2]:
-            raise PipelineError(f"kernel dimension drops are not non-increasing: {dims}")
-        rows = rows @ m
-    return dims, eigenvalues
+    # Y* and its conjugate Y^T of the dropped directions fill the leading rows.
+    yh = np.empty((dims[0], dims[0]), dtype=complex)
+    yt = np.empty(yh.shape, dtype=complex)
+    block, size = [rows], len(rows)
+    while True:
+        # A step drops at most ``size`` (the symbol size m) directions, so at
+        # least ceil(d_k / m) steps remain.
+        for _ in range(-(-dims[-1] // size) - 1):
+            block.append(block[-1] @ m)
+        images = (np.concatenate(block) if len(block) > 1 else rows) @ basis
+        for step in range(len(block)):
+            x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
+            for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
+                x -= (x @ yt[:r].T) @ yh[:r]
+            _, s, vh = np.linalg.svd(x, full_matrices=False)
+            drop = int(np.count_nonzero(s * s > tol))  # s is descending
+            yh[r:r + drop] = vh[:drop]
+            np.conjugate(vh[:drop], out=yt[r:r + drop])
+            dims.append(dims[-1] - drop)
+            if dims[-1] >= dims[-2]:
+                raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
+            if len(dims) > 2 and dims[-2] - dims[-1] > dims[-3] - dims[-2]:
+                raise PipelineError(f"kernel dimension drops are not non-increasing: {dims}")
+        if not dims[-1]:
+            return dims, eigenvalues
+        rows = block[-1] @ m
+        block = [rows]
 
 
 def _negative(

@@ -421,8 +421,6 @@ def _dual_consistency(rng, cases):
         mismatch = profile.diagnostics["omega_duality_mismatch"]
         if mismatch > 1e-10 * scale:
             return {"case": k, "what": "omega_duality", "mismatch": mismatch}
-        if profile.diagnostics["warnings"]:
-            return {"case": k, "what": "cross_check", "warnings": profile.diagnostics["warnings"]}
     return None
 
 

@@ -76,21 +76,24 @@ def test_chain_matches_power_oracle_discrete():
 
 
 def _dropped_bases(pair, monkeypatch):
-    """Chain of the negative side and every basis Y of dropped directions it built."""
+    """Chain of the negative side and the Gram defect of its final basis Y of
+    dropped directions.  Each earlier Y is a leading column block of the final
+    one, so its Gram defect is a principal submatrix of the final defect."""
     trace, _, _ = negative_profile(pair)
-    bases = []
-    concatenate = np.concatenate
+    buffers = []
+    empty = np.empty
 
-    def record(arrays, **kwargs):
-        bases.append(concatenate(arrays, **kwargs))
-        return bases[-1]
+    def record(shape, *args, **kwargs):
+        buffers.append(empty(shape, *args, **kwargs))
+        return buffers[-1]
 
-    monkeypatch.setattr(np, "concatenate", record)
+    monkeypatch.setattr(np, "empty", record)
     dims, _ = indices._kernel_dimension_chain(trace.q, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
     monkeypatch.undo()
-    assert tuple(dims) == trace.kernel_dims
-    assert len(bases) == len(dims) - 1
-    return dims, max(np.linalg.norm(y.conj().T @ y - np.eye(y.shape[1]), 2) for y in bases)
+    assert tuple(dims) == trace.kernel_dims and dims[-1] == 0
+    yh, yt = [b for b in buffers if b.shape == (dims[0], dims[0])]
+    assert np.array_equal(yt, yh.conj())
+    return dims, np.linalg.norm(yh @ yt.T - np.eye(dims[0]), 2)
 
 
 def _twisted_pair(rng, specs_v, specs_w):

@@ -9,7 +9,9 @@ import scipy.linalg.lapack
 import kronecker_oracle as kron
 from whindex import (
     EvaluationError,
+    SymbolPair,
     UnsolvableEquationError,
+    blaschke_realization,
     diagonal_symbol_factors,
     full_profile,
     solve_stein,
@@ -19,7 +21,7 @@ from whindex import (
 from whindex.core import opnorm
 from whindex import equations
 from whindex.equations import CONDITION_LIMIT, SOLVE_TOL, schur_form
-from whindex.sampling import random_hurwitz_matrix, random_schur_matrix
+from whindex.sampling import random_blaschke_spec, random_hurwitz_matrix, random_schur_matrix
 
 #: Resonance gaps of the side-by-side gate sweep, 1e-6 down to 1e-14.
 GAPS = [10.0 ** -e for e in range(6, 15)]
@@ -269,6 +271,58 @@ def test_gramian_gate_refuses_every_case_the_kronecker_or_estimator_gate_refuses
     assert counts.get((False, False), 0) > 0
 
 
+def test_gramian_trace_is_shared_by_a_matrix_and_its_adjoint():
+    # tr P(t) = int |e^{ts}|_F^2 ds = tr P(t*), and P >= 0 gives |P|_2 <= tr P,
+    # so one trace screens both orientations.
+    rng = np.random.default_rng(18)
+    for coupling in (0.0, 0.3, 1.0, 3.0):
+        for _ in range(12):
+            n = int(rng.integers(1, 13))
+            la = -rng.uniform(0.1, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+            f = schur_form(_with_spectrum(rng, la, coupling))
+            trace = equations._gramian_trace(f)
+            for p, _ in (equations._gramian(f), equations._gramian(f.H)):
+                assert abs(np.trace(p).real - trace) <= 1e-10 * trace
+                assert np.linalg.eigvalsh(p).max() <= trace * (1.0 + 1e-12)
+
+
+def _near_axis_gate(eps):
+    """Forms of a = diag(-eps, -eps, -eps, -eps, -1) and b = -eps: four
+    eigenvalue sums sit at -2 eps, |P_a|_2 = |P_b|_2 = 1/(2 eps) and
+    tr P_a = 2/eps, so the trace bound 1/eps is twice the exact one."""
+    fa, fb = schur_form(np.diag([-eps] * 4 + [-1.0])), schur_form(-eps * np.eye(1))
+    norm = fa.norm_bound + fb.norm_bound
+    trace = norm * np.sqrt(equations._gramian_trace(fa) * equations._gramian_trace(fb))
+    exact = norm * np.sqrt(equations._gramian_norm(fa) * equations._gramian_norm(fb))
+    return fa, fb, trace, exact
+
+
+def test_gramian_gate_solves_what_the_trace_screen_leaves_to_the_exact_rule():
+    fa, fb, trace, exact = _near_axis_gate(1.5e-12)
+    assert trace > CONDITION_LIMIT / 2 >= exact
+    solution = solve_sylvester(fa, fb, np.ones((5, 1)))
+    assert solution.residual <= SOLVE_TOL
+    assert np.allclose(solution.x[:4], 1.0 / 3e-12)
+
+
+def test_gramian_gate_refusal_keeps_the_exact_bound():
+    fa, fb, trace, exact = _near_axis_gate(1e-13)
+    assert trace > exact > CONDITION_LIMIT
+    with pytest.raises(UnsolvableEquationError) as info:
+        solve_sylvester(fa, fb, np.ones((5, 1)))
+    smallest = 1.0 / np.sqrt(equations._gramian_norm(fa) * equations._gramian_norm(fb))
+    assert info.value.smallest_singular_value == smallest
+    assert smallest == pytest.approx(2e-13, rel=1e-9)
+
+
+def test_a_gramian_with_a_perturbed_pivot_screens_nothing():
+    # 2 Re t = -2e-20 is below ztrsyl's pivot floor, so it solves with a
+    # perturbed pivot and P is no Gramian: the exact rule decides alone.
+    f = schur_form(np.diag([-1e-20, -1.0]))
+    assert equations._gramian(f)[0] is not None
+    assert equations._gramian_trace(f) == np.inf
+
+
 class _ZtrsylCounter:
     """The LAPACK module with ``ztrsyl`` calls counted."""
 
@@ -283,14 +337,20 @@ class _ZtrsylCounter:
         return self.lapack.ztrsyl(*args, **kwargs)
 
 
-def test_profile_shares_four_gramian_solves(monkeypatch):
+def test_profile_shares_two_gramian_solves(monkeypatch):
     counter = _ZtrsylCounter(equations._lapack())
     monkeypatch.setattr(equations, "_lapack", lambda: counter)
-    for k in (3, 16):
+    specs = np.random.default_rng(17)
+    scalar = SymbolPair(
+        blaschke_realization(random_blaschke_spec(specs, 9)),
+        blaschke_realization(random_blaschke_spec(specs, 13)),
+    )
+    for pair in (diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar):
         counter.calls = 0
-        full_profile(diagonal_symbol_factors([-k, k]))
-        # Four Sylvester solves, and one Gramian each for a_v, a_v*, a_w and a_w*.
-        assert counter.calls == 8
+        full_profile(pair)
+        # Four Sylvester solves, and one Gramian each for a_v and a_w, whose
+        # traces also screen a_v* and a_w*.
+        assert counter.calls == 6
     rng = np.random.default_rng(16)
     counter.calls = 0
     solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
