@@ -117,20 +117,12 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
             "positive": list(pos.kernel_dims),
         },
         "diagnostics": {
-            "residuals": {
-                "omega": neg.residuals["omega"],
-                "q": neg.residuals["q"],
-                "omega_dual": pos.residuals["omega"],
-                "q_dual": pos.residuals["q"],
-            },
+            "residuals": {"omega": neg.residuals["omega"]},
             "q_eigenvalues": {
                 "negative": [float(x) for x in neg.q_eigenvalues],
                 "positive": [float(x) for x in pos.q_eigenvalues],
             },
-            "cross_checks": profile.diagnostics["cross_checks"],
             "cross_check_margins": profile.diagnostics["cross_check_margins"],
-            "omega_duality_mismatch": profile.diagnostics["omega_duality_mismatch"],
-            "warnings": list(profile.diagnostics["warnings"]),
         },
         "tool_version": __version__,
         "tolerance_used": tol,
@@ -142,7 +134,6 @@ def _format_int_row(values) -> str:
 
 
 def render_pretty(report: dict) -> str:
-    diag = report["diagnostics"]
     rows = [
         ("all_indices", _format_int_row(report["all_indices"])),
         ("negative_indices", _format_int_row(report["negative_indices"])),
@@ -152,16 +143,10 @@ def render_pretty(report: dict) -> str:
         ("nu", _format_int_row(report["nu"])),
         ("kernel_dims (neg)", _format_int_row(report["kernel_dims"]["negative"])),
         ("kernel_dims (pos)", _format_int_row(report["kernel_dims"]["positive"])),
-        ("residual omega", f"{diag['residuals']['omega']:.3e}"),
-        ("residual q", f"{diag['residuals']['q']:.3e}"),
-        ("residual omega_dual", f"{diag['residuals']['omega_dual']:.3e}"),
-        ("residual q_dual", f"{diag['residuals']['q_dual']:.3e}"),
-        ("omega duality gap", f"{diag['omega_duality_mismatch']:.3e}"),
+        ("residual omega", f"{report['diagnostics']['residuals']['omega']:.3e}"),
         ("tolerance", f"{report['tolerance_used']:g}"),
         ("tool version", report["tool_version"]),
     ]
-    for warning in diag["warnings"]:
-        rows.append(("warning", warning))
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 

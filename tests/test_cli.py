@@ -241,13 +241,14 @@ def test_verify_catches_corrupted_pipeline(capsys, monkeypatch):
     from whindex.equations import solve_sylvester as real_solve
 
     def corrupted(a, b, c):
-        # Sign mutation in the coupling data feeding the pipeline.
-        return real_solve(a, b, -c)
+        # Doubles the coupling omega of continuous pairs.  A sign flip would
+        # leave Q = I - omega* omega, and so every index, unchanged.
+        return real_solve(a, b, 2.0 * c)
 
     monkeypatch.setattr(indices_module, "solve_sylvester", corrupted)
     code, out, _ = run(capsys, "verify", "--cases", "1")
     assert code == 5
-    assert "FAIL  golden-diagonal-example" in out
+    assert "FAIL  indices-scalar-q-formula" in out
     assert "first failing case for replay" in out
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kronecker_oracle as kron
 from whindex import (
     DISCRETE,
     BlaschkeSpec,
@@ -28,13 +29,18 @@ from whindex.core import opnorm
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
 
+def _q(trace):
+    """The contraction Q = I - omega* omega of a pipeline trace."""
+    return np.eye(trace.omega.shape[1]) - trace.omega.conj().T @ trace.omega
+
+
 def test_reference_diagonal_profile():
     pair = diagonal_symbol_factors([-4, -2, 0, 3, 5])
     profile = full_profile(pair)
     trace = profile.negative_trace
 
     assert opnorm(trace.omega) < 1e-10
-    assert opnorm(trace.q - np.eye(6)) < 1e-8
+    assert opnorm(_q(trace) - np.eye(6)) < 1e-8
     assert trace.kernel_dims == (6, 4, 2, 1, 0)
     assert profile.mu == (2, 2, 1, 1)
     assert profile.negative == (4, 2)
@@ -43,7 +49,9 @@ def test_reference_diagonal_profile():
     assert profile.all_indices == (-4, -2, 0, 3, 5)
     assert profile.nu == (2, 2, 2, 1, 1)
     assert profile.positive_trace.kernel_dims == (8, 6, 4, 2, 1, 0)
-    assert not profile.diagnostics["warnings"]
+    # Every eigenvalue of both contractions is 1, at distance tol from the cut.
+    margins = profile.diagnostics["cross_check_margins"]
+    assert margins == {"negative": pytest.approx(1e-7), "positive": pytest.approx(1e-7)}
 
 
 def test_identity_symbol_is_invertible():
@@ -74,7 +82,7 @@ def test_positive_profile_is_swapped_negative():
         trace_pos, nu, omegas = positive_profile(pair)
         trace_swapped, mu, kappa = negative_profile(pair.swapped())
         assert nu == mu and omegas == kappa
-        assert opnorm(trace_pos.q - trace_swapped.q) == 0.0
+        assert opnorm(_q(trace_pos) - _q(trace_swapped)) == 0.0
 
 
 def test_dual_coupling_is_adjoint():
@@ -95,7 +103,7 @@ def test_scalar_contraction_formula():
         w = blaschke_realization(m)
         trace, _, _ = negative_profile(SymbolPair(blaschke_realization(phi), w))
         evaluated = blaschke_eval_at_minus(phi, w.a.conj().T)
-        assert opnorm(trace.q - evaluated.conj().T @ evaluated) < 1e-8
+        assert opnorm(_q(trace) - evaluated.conj().T @ evaluated) < 1e-8
 
 
 def test_scalar_degree_difference():
@@ -116,8 +124,8 @@ def test_discrete_profile_matches_continuous():
     trace_d, mu_d, kappa_d = discrete_negative_profile(c2d(pair.v), c2d(pair.w))
     assert kappa_d == kappa_c == [4, 2]
     assert mu_d == mu_c
-    assert opnorm(trace_d.q - trace_c.q) < 1e-8
-    assert opnorm(trace_d.q - np.eye(6)) < 1e-8
+    assert opnorm(_q(trace_d) - _q(trace_c)) < 1e-8
+    assert opnorm(_q(trace_d) - np.eye(6)) < 1e-8
 
 
 def test_discrete_scalar_shift_example():
@@ -135,7 +143,7 @@ def test_discrete_matches_continuous_on_random_pairs():
         trace_c, _, kappa_c = negative_profile(pair)
         trace_d, _, kappa_d = discrete_negative_profile(c2d(pair.v), c2d(pair.w))
         assert kappa_d == kappa_c
-        assert opnorm(trace_d.q - trace_c.q) < 1e-8
+        assert opnorm(_q(trace_d) - _q(trace_c)) < 1e-8
 
 
 def test_direct_sum_additivity():
@@ -264,7 +272,9 @@ def test_full_profile_of_discrete_pairs_matches_continuous():
             for side in ("negative_trace", "positive_trace"):
                 dims = getattr(discrete, side).kernel_dims
                 assert dims == getattr(continuous, side).kernel_dims
-            assert discrete.diagnostics["warnings"] == []
+            # Both flavors solve for the same coupling omega.
+            omega = continuous.negative_trace.omega
+            assert opnorm(discrete.negative_trace.omega - omega) <= 1e-10 * (1.0 + opnorm(omega))
 
 
 def test_full_profile_refuses_indices_that_miss_the_degree_difference(monkeypatch):
@@ -273,10 +283,28 @@ def test_full_profile_refuses_indices_that_miss_the_degree_difference(monkeypatc
     # not n_v - n_w = 1 - 3.  Every earlier check still passes.
     chain = indices._kernel_dimension_chain
 
-    def skip_a_step(q, *args):
-        dims, eigenvalues = chain(q, *args)
-        return (dims[:-2] + [0] if len(dims) > 3 else dims), eigenvalues
+    def skip_a_step(basis, *args):
+        dims = chain(basis, *args)
+        return dims[:-2] + [0] if len(dims) > 3 else dims
 
     monkeypatch.setattr(indices, "_kernel_dimension_chain", skip_a_step)
     with pytest.raises(PipelineError, match=r"\[-2, 1\] do not sum to n_v - n_w = -2"):
         full_profile(diagonal_symbol_factors([-3, 1]))
+
+
+def test_contraction_is_identity_minus_the_coupling_gram():
+    # Q = I - omega* omega on the negative side and I - omega omega* on the
+    # positive one, against the paper's Q equation solved by the dense oracle.
+    rng = np.random.default_rng(51)
+    checked = 0
+    for pair in _flavor_cases(rng):
+        for discrete in (False, True):
+            p = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
+            profile = full_profile(p)
+            assert opnorm(profile.positive_trace.omega - profile.negative_trace.omega.conj().T) == 0
+            sides = ((profile.negative_trace, p.v, p.w), (profile.positive_trace, p.w, p.v))
+            for trace, v, w in sides:
+                if trace.omega.size:  # an empty state space has Q = I trivially
+                    checked += 1
+                    assert np.abs(_q(trace) - kron.contraction(v, w, discrete)).max() <= 1e-10
+    assert checked >= 40

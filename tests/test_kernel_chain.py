@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chain_oracle
+import kronecker_oracle as kron
 from whindex import (
     DISCRETE,
     ContractionViolationError,
@@ -50,19 +51,23 @@ def _continuous_cases(rng):
         yield f"mimo{i}", random_symbol_pair(rng, max_m=3, max_block_degree=3)
 
 
-def _assert_matches_oracle(label, trace, m):
+def _assert_matches_oracle(label, trace, v, w, m, discrete=False):
+    """The chain of ``trace`` against matrix powers of the Q that the dense
+    oracle solves from the paper's equations for the pair (v, w)."""
     assert len(m) <= 12
-    expected = chain_oracle.kernel_dimension_chain(trace.q, m, CLUSTER_TOL, cap=len(m) + 1)
+    q = kron.contraction(v, w, discrete) if trace.omega.size else np.eye(len(m))
+    expected = chain_oracle.kernel_dimension_chain(q, m, CLUSTER_TOL, cap=len(m) + 1)
     assert list(trace.kernel_dims) == expected, label
 
 
 def test_chain_matches_power_oracle_continuous():
     rng = np.random.default_rng(3101)
     for label, pair in _continuous_cases(rng):
+        v, w = pair.v, pair.w
         trace, _, _ = negative_profile(pair)
-        _assert_matches_oracle(label + "-negative", trace, zeta_of_minus(pair.w.a))
+        _assert_matches_oracle(label + "-negative", trace, v, w, zeta_of_minus(w.a))
         trace, _, _ = positive_profile(pair)
-        _assert_matches_oracle(label + "-positive", trace, zeta_of_minus(pair.v.a))
+        _assert_matches_oracle(label + "-positive", trace, w, v, zeta_of_minus(v.a))
 
 
 def test_chain_matches_power_oracle_discrete():
@@ -70,9 +75,9 @@ def test_chain_matches_power_oracle_discrete():
     for label, pair in _continuous_cases(rng):
         v, w = c2d(pair.v), c2d(pair.w)
         trace, _, _ = discrete_negative_profile(v, w)
-        _assert_matches_oracle(label + "-discrete", trace, w.a)
+        _assert_matches_oracle(label + "-discrete", trace, v, w, w.a, True)
         trace, _, _ = discrete_negative_profile(w, v)
-        _assert_matches_oracle(label + "-discrete-swapped", trace, v.a)
+        _assert_matches_oracle(label + "-discrete-swapped", trace, w, v, v.a, True)
 
 
 def _dropped_bases(pair, monkeypatch):
@@ -87,8 +92,9 @@ def _dropped_bases(pair, monkeypatch):
         buffers.append(empty(shape, *args, **kwargs))
         return buffers[-1]
 
+    basis = indices._step_zero(trace.omega, CLUSTER_TOL)[2]
     monkeypatch.setattr(np, "empty", record)
-    dims, _ = indices._kernel_dimension_chain(trace.q, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
+    dims = indices._kernel_dimension_chain(basis, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
     monkeypatch.undo()
     assert tuple(dims) == trace.kernel_dims and dims[-1] == 0
     yh, yt = [b for b in buffers if b.shape == (dims[0], dims[0])]
@@ -135,6 +141,13 @@ def test_chain_step_refuses_a_stretching_map():
     assert abs(info.value.eigenvalue - 1.25) < 1e-12
 
 
+def test_step_zero_refuses_a_coupling_that_stretches():
+    # omega = 1.5 I makes Q = I - omega* omega = -1.25 I, not a positive contraction.
+    with pytest.raises(ContractionViolationError) as info:
+        indices._step_zero(1.5 * np.eye(3), CLUSTER_TOL)
+    assert info.value.eigenvalue == 1 - 2.25
+
+
 def test_chain_refuses_a_drop_larger_than_the_one_before():
     # M e2 = e1 and M e3 = e4 with c_d = [e1*; e4*], so [M; c_d] is an isometry.
     # On N_0 = span(e1, e2, e3) the chain reads [3, 2, 0]: drops 1, then 2,
@@ -144,34 +157,36 @@ def test_chain_refuses_a_drop_larger_than_the_one_before():
     c = np.zeros((2, 4))
     c[0, 0] = c[1, 3] = 1.0
     w = Realization(a, np.zeros((4, 2)), c, np.eye(2), DISCRETE)
-    q = np.diag([1.0, 1.0, 1.0, 0.0])
+    basis = np.eye(4)[:, :3]
     with pytest.raises(PipelineError, match=r"drops are not non-increasing: \[3, 2, 0\]"):
-        indices._kernel_dimension_chain(q, w, schur_form(w.a), CLUSTER_TOL)
+        indices._kernel_dimension_chain(basis, w, schur_form(w.a), CLUSTER_TOL)
 
 
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
-    """After the n x n eigh of step 0, every decomposition of the chain is an
-    SVD with at most m rows: the Frobenius screen decides the isometry check
+    """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega;
+    inside them, every decomposition is an SVD with at most m rows: the chain
+    takes N_0 as a basis, and the Frobenius screen decides the isometry check
     of a genuine pair without a decomposition."""
     calls, inside = [], []
     for name in ("svd", "eigh", "eigvalsh"):
         def record(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-            if inside:
-                calls.append((_name, np.shape(a)))
+            # A singular-value-only SVD is a 2-norm, as in the residual of omega.
+            if kwargs.get("compute_uv", True):
+                calls.append((bool(inside), _name, np.shape(a)))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     chain = indices._kernel_dimension_chain
     chains = []
 
-    def traced_chain(q, *args, **kwargs):
+    def traced_chain(basis, *args, **kwargs):
         inside.append(True)
-        calls.clear()
+        start = len(calls)
         try:
-            dims, eigenvalues = chain(q, *args, **kwargs)
+            dims = chain(basis, *args, **kwargs)
         finally:
             inside.clear()
-        chains.append((len(q), dims, list(calls)))
-        return dims, eigenvalues
+        chains.append((dims, [call[1:] for call in calls[start:]]))
+        return dims
 
     monkeypatch.setattr(indices, "_kernel_dimension_chain", traced_chain)
     rng = np.random.default_rng(3106)
@@ -179,13 +194,14 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
     for pair in pairs:
         chains.clear()
+        calls.clear()
         full_profile(pair)
+        outside = [call[1:] for call in calls if not call[0]]
+        assert outside == [("svd", (pair.v.state_dim, pair.w.state_dim))]
         assert len(chains) == 2
-        for n, dims, recorded in chains:
-            assert recorded[0] == ("eigh", (n, n))
-            steps = recorded[1:]
-            assert [name for name, _ in steps] == ["svd"] * (len(dims) - 1)
-            assert all(shape[0] <= pair.output_dim for _, shape in steps)
+        for dims, recorded in chains:
+            assert [name for name, _ in recorded] == ["svd"] * (len(dims) - 1)
+            assert all(shape[0] <= pair.output_dim for _, shape in recorded)
 
 
 def test_negative_chain_at_k256():

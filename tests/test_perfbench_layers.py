@@ -1,10 +1,14 @@
-"""The span tracer of the benchmark names only functions that whindex still has."""
+"""The benchmark names only functions and verify families that whindex still has."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from whindex.verify import FAMILIES
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_traced_layer_function_exists():
@@ -20,3 +24,12 @@ def test_every_traced_layer_function_exists():
     ]
     assert tracing.LAYER_FUNCTIONS
     assert missing == []
+
+
+def test_every_declared_verify_metric_names_a_family():
+    # The benchmark times each family of the battery as verify.<family>.wall_ms.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = [m["name"][len("verify."):-len(".wall_ms")] for m in declared
+             if m["name"].startswith("verify.") and m["name"].endswith(".wall_ms")]
+    assert len(names) == 22
+    assert sorted(names) == sorted(name for name, _, _ in FAMILIES)

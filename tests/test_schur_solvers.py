@@ -12,6 +12,7 @@ from whindex import (
     SymbolPair,
     UnsolvableEquationError,
     blaschke_realization,
+    c2d,
     diagonal_symbol_factors,
     full_profile,
     solve_stein,
@@ -337,7 +338,7 @@ class _ZtrsylCounter:
         return self.lapack.ztrsyl(*args, **kwargs)
 
 
-def test_profile_shares_two_gramian_solves(monkeypatch):
+def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
     counter = _ZtrsylCounter(equations._lapack())
     monkeypatch.setattr(equations, "_lapack", lambda: counter)
     specs = np.random.default_rng(17)
@@ -348,9 +349,16 @@ def test_profile_shares_two_gramian_solves(monkeypatch):
     for pair in (diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar):
         counter.calls = 0
         full_profile(pair)
-        # Four Sylvester solves, and one Gramian each for a_v and a_w, whose
+        # The coupling solve, and one Gramian each for a_v and a_w, whose
         # traces also screen a_v* and a_w*.
-        assert counter.calls == 6
+        assert counter.calls == 3
+        # A discrete profile solves one Stein equation, gated by the estimator.
+        v, w = c2d(pair.v), c2d(pair.w)
+        counter.calls = 0
+        full_profile(SymbolPair(v, w))
+        profile_calls, counter.calls = counter.calls, 0
+        solve_stein(schur_form(v.a), schur_form(w.a).H, v.b @ w.b.conj().T)
+        assert profile_calls == counter.calls > 1
     rng = np.random.default_rng(16)
     counter.calls = 0
     solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
