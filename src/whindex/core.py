@@ -5,11 +5,18 @@ A continuous realization ``(a, b, c, d)`` represents the transfer function
 ``d + z c (I - z a)^{-1} b``.  Zero-dimensional state spaces are legal and
 give the constant transfer function ``d``.  All values are immutable after
 construction and every operation here is a pure function.
+
+The module also loads SciPy's LAPACK wrappers on first use (``_lapack``),
+which the solvers of ``equations`` and every SVD (``_svd``) call.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,12 +35,71 @@ VALIDATION_TOL = 1e-8
 NEAR_MARGINAL_GAP = 1e-10
 
 
+@functools.cache
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
+
+    The extension is loaded from its file, found without running the
+    ``scipy`` package's own import, because importing the ``scipy.linalg``
+    package costs about 0.3 s of processor time (x86-64, SciPy 1.17) and the
+    extension alone a few milliseconds.  A SciPy laid out differently falls
+    back to the package import.
+    """
+    scipy, spec = importlib.util.find_spec("scipy"), None
+    if scipy is not None:
+        linalg = [os.path.join(location, "linalg") for location in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _gesdd_lwork(prefix: str, rows: int, cols: int, compute_uv: bool, full_matrices: bool) -> int:
+    """Optimal workspace of ``<prefix>gesdd``, which numpy queries too.  The wrappers'
+    smaller default sends LAPACK down other paths: the factors of a 48 x 48
+    complex matrix already differ from numpy's in their last bits."""
+    work, _ = getattr(_lapack(), prefix + "gesdd_lwork")(rows, cols, compute_uv, full_matrices)
+    return int(work.real)
+
+
+def _svd(x: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
+    """``np.linalg.svd(x, full_matrices, compute_uv)`` of a 2-D ``x``, by one call of
+    LAPACK zgesdd, or dgesdd for real x, without numpy's wrapper around it.
+
+    An empty ``x``, which LAPACK refuses, has no singular values and identity
+    bases.  A decomposition that fails raises ``EvaluationError``.
+    """
+    rows, cols = x.shape
+    prefix = "z" if x.dtype.kind == "c" else "d"
+    if x.size == 0:
+        s = np.zeros(0)
+        if not compute_uv:
+            return s
+        dtype = complex if prefix == "z" else float
+        k = 1 if full_matrices else 0
+        return np.eye(rows, k * rows, dtype=dtype), s, np.eye(k * cols, cols, dtype=dtype)
+    lapack, lwork = _lapack(), _gesdd_lwork(prefix, rows, cols, compute_uv, full_matrices)
+    gesdd = lapack.zgesdd if prefix == "z" else lapack.dgesdd
+    u, s, vh, info = gesdd(x, compute_uv, full_matrices, lwork)
+    if info != 0:
+        raise EvaluationError(f"singular value decomposition failed ({prefix}gesdd info {info})")
+    return (u, s, vh) if compute_uv else s
+
+
 def opnorm(x: np.ndarray) -> float:
-    """Spectral norm, with the empty matrix having norm zero."""
+    """Spectral norm, with the empty matrix having norm zero.
+
+    The largest singular value, as ``np.linalg.norm(x, 2)`` computes it, from
+    LAPACK's gesdd in the lazily loaded wrappers of ``_lapack`` (``_svd``).
+    """
     if x.size == 0:
         return 0.0
-    # The largest singular value, as np.linalg.norm(x, 2) computes it, without its axis handling.
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    return float(_svd(x, compute_uv=False)[0])
 
 
 def _frobenius(x: np.ndarray) -> float:

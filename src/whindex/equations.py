@@ -42,22 +42,20 @@ Hager/Higham estimator, driven by ``ztrsyl`` and its conjugate-transposed
 form as LAPACK ``ztrsna`` does when it estimates ``sep``, followed by one
 power step.
 
-SciPy's LAPACK wrappers are loaded by the first factorization rather than
-with the package, and without the ``scipy.linalg`` package around them,
-whose import costs more than all of whindex.
+SciPy's LAPACK wrappers (``core._lapack``) are loaded by the first
+factorization or SVD rather than with the package, and without the
+``scipy.linalg`` package around them, whose import costs more than all of
+whindex.  The SVDs of the pipeline, the 2-norms of ``core.opnorm`` among
+them, call ``zgesdd`` from the same wrappers.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _screen, hermitize, opnorm
+from .core import _lapack, _screen, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -75,29 +73,6 @@ _ESTIMATOR_ITERATIONS = 5
 
 #: Cayley parameters tried for the discrete equation, the first one preferred on ties.
 _CAYLEY_SHIFTS = np.exp(0.25j * np.pi * np.arange(8))
-
-
-@functools.cache
-def _lapack():
-    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
-
-    The extension is loaded from its file, found without running the
-    ``scipy`` package's own import, because importing the ``scipy.linalg``
-    package costs about 0.3 s of processor time (x86-64, SciPy 1.17) and the
-    extension alone a few milliseconds.  A SciPy laid out differently falls
-    back to the package import.
-    """
-    scipy, spec = importlib.util.find_spec("scipy"), None
-    if scipy is not None:
-        linalg = [os.path.join(location, "linalg") for location in scipy.submodule_search_locations]
-        spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
-    if spec is None:
-        from scipy.linalg import lapack
-
-        return lapack
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from .core import (
     _frobenius,
     _screen,
     _screened_report,
+    _svd,
 )
 from .equations import (
     CLUSTER_TOL,
@@ -143,7 +144,7 @@ def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, n
     s^2 > 1 + tol makes an eigenvalue 1 - s^2 < -tol, so the contraction
     was not positive, and raises ``ContractionViolationError``.
     """
-    u, s, vh = np.linalg.svd(omega)
+    u, s, vh = _svd(omega)
     if s.size and s[0] * s[0] > 1.0 + tol:
         lowest = float(1.0 - s[0] * s[0])
         raise ContractionViolationError(
@@ -199,7 +200,7 @@ def _kernel_dimension_chain(
             x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
             for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
                 x -= (x @ yt[:r].T) @ yh[:r]
-            _, s, vh = np.linalg.svd(x, full_matrices=False)
+            _, s, vh = _svd(x, full_matrices=False)
             drop = int(np.count_nonzero(s * s > tol))  # s is descending
             yh[r:r + drop] = vh[:drop]
             np.conjugate(vh[:drop], out=yt[r:r + drop])

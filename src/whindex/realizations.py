@@ -18,6 +18,7 @@ from .core import (
     Realization,
     SymbolPair,
     VALIDATION_TOL,
+    _svd,
     cascade,
     constant_realization,
     direct_sum,
@@ -201,7 +202,8 @@ def blaschke_of_minus_A(p: Polynomial, a: np.ndarray) -> np.ndarray:
     num = poly_of_matrix(p_sharp(p), minus_a)
     if den.size == 0:
         return den
-    if np.linalg.cond(den) > CONDITION_LIMIT:
+    s = _svd(den, compute_uv=False)  # the rule of np.linalg.cond(den) > CONDITION_LIMIT
+    if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise EvaluationError("p(-a) is numerically singular; p and a share spectrum")
     return np.linalg.solve(den.conj().T, num.conj().T).conj().T
 

@@ -278,6 +278,14 @@ def test_verify_defaults_to_the_battery_seed(capsys, monkeypatch):
     assert code == 0 and seeds == [verify_module.DEFAULT_SEED]
 
 
+def _fresh_python(script: str) -> str:
+    """Standard output of ``script`` run by a new interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_indices_start_up_leaves_the_battery_and_scipy_unloaded():
     # whindex indices needs neither the verify battery (with the samplers
     # and numpy.random) nor the scipy package around the LAPACK extension.
@@ -285,7 +293,14 @@ def test_indices_start_up_leaves_the_battery_and_scipy_unloaded():
         "import sys, whindex.cli, whindex.equations as eq; eq._lapack(); "
         "print(sorted(m for m in ('whindex.verify', 'numpy.random', 'scipy') if m in sys.modules))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(script) == "[]"
+
+
+@pytest.mark.parametrize("module", ["whindex", "whindex.core"])
+def test_import_leaves_the_lapack_extension_unloaded(module):
+    # _flapack, which the solvers and every SVD call, loads on first use.
+    script = (
+        f"import sys, {module}, whindex.core as core; "
+        "print(core._lapack.cache_info().currsize, [m for m in sys.modules if 'scipy' in m])"
+    )
+    assert _fresh_python(script) == "0 []"

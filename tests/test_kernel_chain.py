@@ -7,7 +7,9 @@ import chain_oracle
 import kronecker_oracle as kron
 from whindex import (
     DISCRETE,
+    BlaschkeSpec,
     ContractionViolationError,
+    EvaluationError,
     PipelineError,
     Realization,
     SymbolPair,
@@ -23,7 +25,7 @@ from whindex import (
     winding_number,
     zeta_of_minus,
 )
-from whindex import indices
+from whindex import core, errors, indices
 from whindex.equations import CLUSTER_TOL, schur_form
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
@@ -36,6 +38,10 @@ SWEEP_SEEDS = (1, 2, 3)
 SWEEP_MAX_FAILURES = 5
 #: Sweep pairs whose degree gap is confirmed by the winding-number oracle.
 SWEEP_ORACLE_SAMPLE = 12
+#: The typed errors whindex refuses an input with.
+WHINDEX_ERRORS = tuple(
+    e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)
+)
 
 
 def _continuous_cases(rng):
@@ -162,19 +168,47 @@ def test_chain_refuses_a_drop_larger_than_the_one_before():
         indices._kernel_dimension_chain(basis, w, schur_form(w.a), CLUSTER_TOL)
 
 
+class _SvdRecorder:
+    """The LAPACK module with its SVDs (zgesdd, dgesdd) recorded in ``calls``."""
+
+    def __init__(self, lapack, calls, inside):
+        self.lapack, self.calls, self.inside = lapack, calls, inside
+
+    def __getattr__(self, name):
+        return getattr(self.lapack, name)
+
+    def _record(self, name, a, *args, **kwargs):
+        # A singular-value-only SVD is a 2-norm, as in the residual of omega.
+        compute_uv = args[0] if args else kwargs.get("compute_uv", True)
+        if compute_uv:
+            self.calls.append((bool(self.inside), "svd", np.shape(a)))
+        return getattr(self.lapack, name)(a, *args, **kwargs)
+
+    def zgesdd(self, *args, **kwargs):
+        return self._record("zgesdd", *args, **kwargs)
+
+    def dgesdd(self, *args, **kwargs):
+        return self._record("dgesdd", *args, **kwargs)
+
+
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega;
     inside them, every decomposition is an SVD with at most m rows: the chain
     takes N_0 as a basis, and the Frobenius screen decides the isometry check
-    of a genuine pair without a decomposition."""
-    calls, inside = [], []
-    for name in ("svd", "eigh", "eigvalsh"):
+    of a genuine pair without a decomposition.  The SVDs are counted at the
+    LAPACK wrappers, and numpy's SVD is never called."""
+    calls, inside, numpy_svds = [], [], []
+    recorder = _SvdRecorder(core._lapack(), calls, inside)
+    monkeypatch.setattr(core, "_lapack", lambda: recorder)
+    for name in ("eigh", "eigvalsh"):
         def record(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-            # A singular-value-only SVD is a 2-norm, as in the residual of omega.
-            if kwargs.get("compute_uv", True):
-                calls.append((bool(inside), _name, np.shape(a)))
+            calls.append((bool(inside), _name, np.shape(a)))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
+    def numpy_svd(a, *args, _svd=np.linalg.svd, **kwargs):
+        numpy_svds.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", numpy_svd)
     chain = indices._kernel_dimension_chain
     chains = []
 
@@ -197,11 +231,53 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
         calls.clear()
         full_profile(pair)
         outside = [call[1:] for call in calls if not call[0]]
-        assert outside == [("svd", (pair.v.state_dim, pair.w.state_dim))]
+        shape = pair.v.state_dim, pair.w.state_dim
+        # An empty omega has its step 0 without LAPACK.
+        assert outside == ([("svd", shape)] if min(shape) else [])
         assert len(chains) == 2
         for dims, recorded in chains:
             assert [name for name, _ in recorded] == ["svd"] * (len(dims) - 1)
             assert all(shape[0] <= pair.output_dim for _, shape in recorded)
+    assert numpy_svds == []
+
+
+class _FailingSvd:
+    """The LAPACK module with every SVD reporting that it did not converge (info 1)."""
+
+    def __init__(self, lapack):
+        self.lapack = lapack
+
+    def __getattr__(self, name):
+        return getattr(self.lapack, name)
+
+    def zgesdd(self, *args, **kwargs):
+        return (*self.lapack.zgesdd(*args, **kwargs)[:3], 1)
+
+    def dgesdd(self, *args, **kwargs):
+        return (*self.lapack.dgesdd(*args, **kwargs)[:3], 1)
+
+
+@pytest.mark.parametrize("decomposition", ["step zero", "chain step", "opnorm", "real opnorm"])
+def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
+    w = diagonal_symbol_factors([-2, 2]).w
+    sw, basis = schur_form(w.a), np.eye(w.state_dim)[:, :1]
+    decompose = {
+        "step zero": lambda: indices._step_zero(0.5 * np.eye(2, dtype=complex), CLUSTER_TOL),
+        "chain step": lambda: indices._kernel_dimension_chain(basis, w, sw, CLUSTER_TOL),
+        "opnorm": lambda: core.opnorm(np.ones((2, 3), dtype=complex)),
+        "real opnorm": lambda: core.opnorm(np.ones((2, 3))),
+    }[decomposition]
+    failing = _FailingSvd(core._lapack())
+    monkeypatch.setattr(core, "_lapack", lambda: failing)
+    with pytest.raises(EvaluationError, match=r"gesdd info 1\)"):
+        decompose()
+
+
+@pytest.mark.parametrize("powers, expected", [([3], (3,)), ([-2], (-2,)), ([0, 2], (0, 2))])
+def test_a_zero_state_factor_passes_no_empty_matrix_to_lapack(capfd, powers, expected):
+    # omega is n_v x 0 or 0 x n_w; LAPACK would refuse it, printing to stderr.
+    assert full_profile(diagonal_symbol_factors(powers)).all_indices == expected
+    assert capfd.readouterr().err == ""
 
 
 def test_negative_chain_at_k256():
@@ -233,3 +309,19 @@ def test_blaschke_sweep_degrees_8_to_20():
         assert winding_number(phi, m) == phi.degree - m.degree
     print(f"{len(pairs)} Blaschke pairs of degree 8-20, {failures} PipelineError")
     assert failures <= SWEEP_MAX_FAILURES
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_near_axis_scalar_pairs_are_answered_right_or_refused(eps):
+    # phi has a pole eps from the imaginary axis, and the truth is its degree
+    # gap to m.  Such pairs may be refused with a typed error (the chain
+    # refuses them below about 1e-6), but never answered wrongly.
+    phi = BlaschkeSpec(1.0, (-eps + 5j, -1.0, -3.0))
+    pair = SymbolPair(blaschke_realization(phi), blaschke_realization(BlaschkeSpec(1.0, (-0.5,))))
+    for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
+        try:
+            answer = full_profile(flavored).all_indices
+        except WHINDEX_ERRORS:
+            assert eps < 1e-4
+            continue
+        assert answer == (2,)

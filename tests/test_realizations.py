@@ -25,10 +25,12 @@ from whindex import (
     zeta_power_realization,
 )
 from whindex.core import opnorm
+from whindex.equations import CONDITION_LIMIT
 from whindex.sampling import (
     random_blaschke_spec,
     random_hurwitz_matrix,
     random_rank_one_dissipative,
+    random_unitary,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -167,6 +169,25 @@ def test_poly_of_matrix_against_power_sum():
 def test_blaschke_of_minus_A_scalar_zero():
     value = blaschke_of_minus_A(Polynomial((1, 1)), np.array([[-1.0]]))
     assert abs(value[0, 0]) < 1e-15
+
+
+@pytest.mark.parametrize("a", [np.diag([1.0, 3.0]), np.array([[1.0, 1.0], [0.0, 3.0]])])
+def test_blaschke_of_minus_A_refuses_a_root_shared_with_minus_a(a):
+    # -1 is a root of p and an eigenvalue of -a, so p(-a) is singular.
+    with pytest.raises(EvaluationError, match="share spectrum"):
+        blaschke_of_minus_A(Polynomial.from_roots([-1.0, -2.0]), a)
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-12, 1e-14, 0.0])
+def test_blaschke_of_minus_A_refuses_by_the_numpy_condition_rule(gap):
+    # p(s) = 1 + s, so p(-a) = I - a, a unitary similarity of diag(1, gap).
+    p, u = Polynomial((1, 1)), random_unitary(np.random.default_rng(5), 2)
+    a = u @ np.diag([0.0, 1.0 - gap]) @ u.conj().T
+    if np.linalg.cond(poly_of_matrix(p, -a)) > CONDITION_LIMIT:
+        with pytest.raises(EvaluationError, match="share spectrum"):
+            blaschke_of_minus_A(p, a)
+    else:
+        assert np.isfinite(blaschke_of_minus_A(p, a)).all()
 
 
 def test_blaschke_of_minus_A_contraction_on_power_block():
