@@ -256,6 +256,9 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+_TOL_HELP = f"eigenvalue clustering tolerance, 0 < tol < 1 (default {CLUSTER_TOL:g})"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whindex",
@@ -267,8 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_idx = sub.add_parser("indices", help="compute the index profile of a problem file")
     p_idx.add_argument("problem", help="path to a JSON problem file")
-    p_idx.add_argument("--tol", type=float, default=CLUSTER_TOL,
-                       help="eigenvalue clustering tolerance (default 1e-7)")
+    p_idx.add_argument("--tol", type=float, default=CLUSTER_TOL, help=_TOL_HELP)
     p_idx.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
     p_idx.add_argument("--output", default=None, help="write to this path instead of stdout")
     p_idx.set_defaults(handler=cmd_indices)
@@ -297,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exa = sub.add_parser("example", help="emit a named example problem and expected report")
     p_exa.add_argument("name", help="example name (currently: dss)")
-    p_exa.add_argument("--tol", type=float, default=CLUSTER_TOL)
+    p_exa.add_argument("--tol", type=float, default=CLUSTER_TOL, help=_TOL_HELP)
     p_exa.add_argument("--output", default=None, help="directory for the emitted files")
     p_exa.set_defaults(handler=cmd_example)
     return parser

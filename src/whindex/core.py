@@ -122,9 +122,10 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _freeze(x) -> np.ndarray:
-    out = np.array(x, dtype=complex)
-    out = np.atleast_2d(out)
+def _freeze(x, name: str) -> np.ndarray:
+    out = np.array(x, dtype=complex, ndmin=2)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise StructureError(f"{name} has a NaN or infinite entry")
     out.setflags(write=False)
     return out
 
@@ -139,7 +140,8 @@ class Realization:
 
     ``a`` is n x n, ``b`` is n x m, ``c`` is m x n and ``d`` is m x m for a
     single coefficient-space dimension m.  Arrays are copied and locked on
-    construction, so instances are safe to share between threads.
+    construction, so instances are safe to share between threads.  An entry
+    that is NaN or infinite raises ``StructureError``.
     """
 
     a: np.ndarray
@@ -151,7 +153,7 @@ class Realization:
     def __post_init__(self):
         if self.flavor not in (CONTINUOUS, DISCRETE):
             raise StructureError(f"unknown flavor {self.flavor!r}")
-        a, b, c, d = (_freeze(m) for m in (self.a, self.b, self.c, self.d))
+        a, b, c, d = (_freeze(getattr(self, name), name) for name in "abcd")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise StructureError(f"d must be square, got shape {d.shape}")
         m = d.shape[0]
@@ -215,14 +217,15 @@ class ValidationReport:
 
     @property
     def max_residual(self) -> float:
-        out = max(
+        """The largest residual, NaN if any residual is NaN."""
+        residuals = [
             self.dissipative_residual,
             self.feedthrough_unitarity_residual,
             self.coupling_residual,
-        )
+        ]
         if self.system_unitarity_residual is not None:
-            out = max(out, self.system_unitarity_residual)
-        return out
+            residuals.append(self.system_unitarity_residual)
+        return float(np.max(residuals))
 
 
 @dataclass(frozen=True)
@@ -327,8 +330,12 @@ def _validation_report(
 
 def _screened_report(r: Realization, eigenvalues: np.ndarray) -> Optional[ValidationReport]:
     """None if ``r`` is stable and ``_screen`` alone shows every residual within
-    ``VALIDATION_TOL``; otherwise ``_validation_report``, whose verdict then decides."""
-    frobenius = max(map(_frobenius, _balance_defects(r)))
+    ``VALIDATION_TOL``; otherwise ``_validation_report``, whose verdict then decides.
+
+    The screened norm is the Frobenius norm of all defects together, which
+    bounds each of them and is NaN or infinite if any entry is.
+    """
+    frobenius = math.sqrt(sum(np.vdot(x, x).real for x in _balance_defects(r)))
     if _stability(r, eigenvalues)[0] and _screen(frobenius, VALIDATION_TOL):
         return None
     return _validation_report(r, eigenvalues)

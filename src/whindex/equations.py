@@ -27,17 +27,15 @@ Cauchy-Schwarz in the trace inner product and then in t gives
 = tr(y* P_a y)^{1/2} tr(c P_b c*)^{1/2} <= sqrt(|P_a| |P_b|) |y|_F |c|_F.
 
 In Schur coordinates each Gramian is one ``ztrsyl`` call on the triangular
-factor, cached on the factorization.  Like every tolerance check in whindex
-whose value is not reported, the gate decides with a cheaper upper bound
-first.  P is positive semidefinite, so |P|_2 <= tr P, and
-tr P = int_0^inf |e^{at}|_F^2 dt is the same for a and a*: one Gramian
-solve per factorization screens a matrix and its adjoint, however many
-equations they enter.  The gate accepts if the operator norm bound times
+factor, and a Sylvester solve makes one per coefficient.  Like every
+tolerance check in whindex whose value is not reported, the gate decides
+with a cheaper upper bound first.  P is positive semidefinite, so
+|P|_2 <= tr P.  The gate accepts if the operator norm bound times
 sqrt(tr P_a tr P_b) is at most half the limit, and otherwise applies the
-2-norm rule above, with each orientation's own Gramian and one Hermitian
-eigenvalue solve for it.  The decision is always the 2-norm rule's.  In
-every other case -- the Stein equation, or a Sylvester coefficient that is
-not Hurwitz -- the norm of the inverse is estimated from below with the
+2-norm rule above to the same two Gramians, with one Hermitian eigenvalue
+solve each.  The decision is always the 2-norm rule's.  In every other
+case -- the Stein equation, or a Sylvester coefficient that is not
+Hurwitz -- the norm of the inverse is estimated from below with the
 Hager/Higham estimator, driven by ``ztrsyl`` and its conjugate-transposed
 form as LAPACK ``ztrsna`` does when it estimates ``sep``, followed by one
 power step.
@@ -51,7 +49,7 @@ them, call ``zgesdd`` from the same wrappers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,57 +81,37 @@ class SchurForm:
     stands for ``a*`` instead, so a matrix and its adjoint share one
     factorization.  The solvers and ``zeta_of_minus`` accept a SchurForm
     wherever they accept the matrix it stands for, and then reuse the
-    factorization.  A form and its adjoint share what is derived from the
-    factorization, each item computed on first use: the adjoint form, the
-    dense a* and u*, the norm bound and Hurwitz flag of t, the Gramian of
-    each orientation, and the Gramian trace, which is the same for both, so
-    one Gramian solve per factorization screens both (``_gramian_trace``).
+    factorization.  Everything else is computed from it where it is read.
     """
 
     a: np.ndarray
     t: np.ndarray
     u: np.ndarray
     adjoint: bool = False
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def _memo(self, key, compute):
-        """``compute()``, evaluated once for this factorization and its adjoint."""
-        if key not in self._shared:
-            self._shared[key] = compute()
-        return self._shared[key]
-
     @property
     def H(self) -> "SchurForm":
         """The same factorization standing for the adjoint matrix."""
-        key = "form", not self.adjoint
-        if key not in self._shared:
-            other = replace(self, adjoint=not self.adjoint)
-            object.__setattr__(other, "_shared", self._shared)
-            self._shared.update({("form", self.adjoint): self, key: other})
-        return self._shared[key]
+        return replace(self, adjoint=not self.adjoint)
 
     @property
     def matrix(self) -> np.ndarray:
         """The matrix this form stands for, a or a*."""
-        return self._memo("a*", lambda: self.a.conj().T) if self.adjoint else self.a
-
-    @property
-    def uh(self) -> np.ndarray:
-        """u*, the inverse of u."""
-        return self._memo("u*", lambda: self.u.conj().T)
+        return self.a.conj().T if self.adjoint else self.a
 
     @property
     def norm_bound(self) -> float:
         """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
-        return self._memo("norm bound", lambda: _norm_bound(self.t))
+        mag = np.abs(self.t)
+        return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
     @property
     def hurwitz(self) -> bool:
         """Whether every eigenvalue of the non-empty represented matrix has negative real part."""
-        return self._memo("hurwitz", lambda: bool(np.diag(self.t).real.max() < 0.0))
+        return bool(np.diag(self.t).real.max() < 0.0)
 
     def op(self) -> np.ndarray:
         """The represented triangular factor, t or t*."""
@@ -142,11 +120,6 @@ class SchurForm:
     def shifted(self, s: complex) -> np.ndarray:
         """Upper triangular r with op(r) = op(t) + s I."""
         return self.t + (np.conj(s) if self.adjoint else s) * np.eye(len(self.t))
-
-
-def _norm_bound(t: np.ndarray) -> float:
-    mag = np.abs(t)
-    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
 def _square(a) -> np.ndarray:
@@ -211,34 +184,18 @@ def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, ad
 
 
 def _gramian(f: SchurForm) -> tuple[np.ndarray | None, float]:
-    """P with op(t) P + P op(t)* + I = 0 and its trace, cached per orientation.
+    """P with op(t) P + P op(t)* + I = 0 and its trace, which bounds |P|_2 as P >= 0.
 
     P is None when it is not finite.  The trace is infinite then, and also where
     ztrsyl perturbed a near-singular pivot, as P is then no semidefinite Gramian.
     """
-
-    def solve():
-        p, scale, info = _lapack().ztrsyl(
-            f.t, f.t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
-        )
-        if not np.isfinite(p).all():
-            return None, np.inf
-        p = p if scale == 1.0 else p / scale
-        return p, np.inf if info else float(np.trace(p).real)
-
-    return f._memo(("gramian", f.adjoint), solve)
-
-
-def _gramian_trace(f: SchurForm) -> float:
-    """tr P of the orientation asked first, cached for f and f.H: P >= 0 gives
-    |P|_2 <= tr P, and tr P = int |e^{op(t) s}|_F^2 ds is the same for op(t)*."""
-    return f._memo("gramian trace", lambda: _gramian(f)[1])
-
-
-def _gramian_norm(f: SchurForm) -> float:
-    """|P|_2, the largest eigenvalue magnitude of the Hermitian P of ``_gramian``."""
-    p = _gramian(f)[0]
-    return np.inf if p is None else float(np.abs(np.linalg.eigvalsh(p)).max())
+    p, scale, info = _lapack().ztrsyl(
+        f.t, f.t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
+    )
+    if not np.isfinite(p).all():
+        return None, np.inf
+    p = p if scale == 1.0 else p / scale
+    return p, np.inf if info else float(np.trace(p).real)
 
 
 def _sylvester_operator(fa: SchurForm, fb: SchurForm):
@@ -251,9 +208,13 @@ def _sylvester_operator(fa: SchurForm, fb: SchurForm):
 
     norm, inverse_bound = fa.norm_bound + fb.norm_bound, None
     if fa.hurwitz and fb.hurwitz:
-        inverse_bound = float(np.sqrt(_gramian_trace(fa) * _gramian_trace(fb)))
+        (pa, trace_a), (pb, trace_b) = _gramian(fa), _gramian(fb)
+        inverse_bound = float(np.sqrt(trace_a * trace_b))
         if not _screen(norm * inverse_bound, CONDITION_LIMIT):
-            inverse_bound = float(np.sqrt(_gramian_norm(fa) * _gramian_norm(fb)))
+            norm_a, norm_b = (
+                np.inf if p is None else float(np.abs(np.linalg.eigvalsh(p)).max()) for p in (pa, pb)
+            )
+            inverse_bound = float(np.sqrt(norm_a * norm_b))
     return norm, solve, inverse_bound
 
 
@@ -350,8 +311,8 @@ def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.nd
             f"(estimated smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    y = solve(fa.uh @ c @ fb.u)
-    return fa.u @ y @ fb.uh
+    y = solve(fa.u.conj().T @ c @ fb.u)
+    return fa.u @ y @ fb.u.conj().T
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:

@@ -74,7 +74,7 @@ from .equations import (
     solve_sylvester,
     zeta_of_minus,
 )
-from .errors import ContractionViolationError, InputValidationError, PipelineError
+from .errors import ContractionViolationError, InputValidationError, PipelineError, StructureError
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,14 @@ class IndexProfile:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _validated(pair: SymbolPair) -> tuple[SchurForm, SchurForm]:
-    """Schur forms of a_v and a_w, shared by every solve of one profile, after
+def _validated(pair: SymbolPair, tol: float) -> tuple[SchurForm, SchurForm]:
+    """Schur forms of a_v and a_w for the solve and the chains of one profile,
+    after checking that the clustering tolerance is a finite 0 < tol < 1 and
     validating each factor with the eigenvalues on the diagonal of its form:
     stable dissipative for continuous factors, stable unitary for discrete ones.
     The full report is computed only where the screen cannot accept the factor."""
+    if not 0.0 < tol < 1.0:  # also false for NaN
+        raise StructureError(f"tolerance must be a finite number in (0, 1), got {tol!r}")
     forms = schur_form(pair.v.a), schur_form(pair.w.a)
     promise = "stable unitary" if pair.v.flavor == DISCRETE else "stable dissipative"
     for name, r, f in (("v", pair.v, forms[0]), ("w", pair.w, forms[1])):
@@ -241,7 +244,7 @@ def negative_profile(
     Stein) and the iteration map of the chain (the disk map of -a_w, or a_w
     itself).
     """
-    sv, sw = _validated(pair)
+    sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
     s, _, basis = _step_zero(omega.x, tol)
     return _side(omega, s, basis, pair.w, sw, tol)
@@ -287,7 +290,7 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     indices must sum to n_v - n_w, the degree of det V minus that of det W,
     as both realizations are minimal.
     """
-    sv, sw = _validated(pair)
+    sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
     s, positive_basis, negative_basis = _step_zero(omega.x, tol)
     negative_trace, mu, kappa = _side(omega, s, negative_basis, pair.w, sw, tol)

@@ -8,6 +8,7 @@ sections, so validity is structural rather than numerical).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ class BlaschkeSpec:
     """A scalar Blaschke product: rho * prod (s + conj(alpha_k)) / (s - alpha_k).
 
     ``rho`` must be unimodular and every pole must lie strictly in the open
-    left half plane.  Repeated poles are allowed; the degree is the number
-    of poles counted with multiplicity.
+    left half plane, with finite real and imaginary parts.  Repeated poles
+    are allowed; the degree is the number of poles counted with multiplicity.
     """
 
     rho: complex
@@ -46,6 +47,8 @@ class BlaschkeSpec:
     def __post_init__(self):
         rho = complex(self.rho)
         poles = tuple(complex(p) for p in self.poles)
+        if not all(map(cmath.isfinite, (rho, *poles))):
+            raise StructureError("rho and the poles must be finite numbers")
         if abs(abs(rho) - 1.0) > 1e-12:
             raise StructureError(f"rho must be unimodular, got |rho| = {abs(rho)!r}")
         for k, pole in enumerate(poles):
@@ -61,7 +64,7 @@ class BlaschkeSpec:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with ascending complex coefficients and nonzero leading coefficient."""
+    """Polynomial with finite ascending complex coefficients and nonzero leading coefficient."""
 
     coeffs: tuple[complex, ...]
 
@@ -69,6 +72,8 @@ class Polynomial:
         coeffs = tuple(complex(c) for c in self.coeffs)
         if len(coeffs) == 0:
             raise StructureError("a polynomial needs at least one coefficient")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise StructureError("polynomial coefficients must be finite numbers")
         if coeffs[-1] == 0:
             raise StructureError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", coeffs)

@@ -143,6 +143,43 @@ def test_indices_malformed_inputs(tmp_path, capsys):
     assert code == 2 and "problem.v: b must be 0x1, got shape (1, 1)" in err
 
 
+def test_non_finite_inputs_are_refused_as_malformed(tmp_path, capsys):
+    # Python's json reads NaN and Infinity, so problem files can carry them.
+    w = realization_to_json(zeta_power_realization(1))
+    v = {**w, "b": [[[float("inf"), 0.0]]]}
+    spec = {"rho": [1.0, 0.0], "poles": [[-1.0, 0.0]]}
+    problems = [
+        ({"kind": "realization_pair", "v": v, "w": w}, "problem.v: b has a NaN or infinite entry"),
+        ({"kind": "scalar_blaschke_pair", "phi": {"rho": [float("nan"), 0.0], "poles": []},
+          "m": spec}, "problem.phi: rho and the poles must be finite numbers"),
+        ({"kind": "scalar_blaschke_pair", "phi": spec,
+          "m": {"rho": [1.0, 0.0], "poles": [[float("nan"), 0.0]]}},
+         "problem.m: rho and the poles must be finite numbers"),
+    ]
+    for payload, message in problems:
+        code, out, err = run(capsys, "indices", write_problem(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "stability", "1 nan")
+    assert (code, out, err) == (2, "", "error: polynomial coefficients must be finite numbers\n")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1", "2", "nan", "inf"])
+def test_indices_and_example_refuse_a_tol_outside_the_unit_interval(tmp_path, capsys, tol):
+    path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [0, 0]})
+    message = f"error: tolerance must be a finite number in (0, 1), got {float(tol)!r}\n"
+    assert run(capsys, "indices", path, "--tol", tol) == (2, "", message)
+    out_dir = tmp_path / "example"
+    assert run(capsys, "example", "dss", "--output", str(out_dir), "--tol", tol) == (2, "", message)
+    assert list(out_dir.iterdir()) == []
+
+
+def test_tol_help_names_the_default(capsys):
+    for command in ("indices", "example"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "(default 1e-07)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_indices_rejects_invalid_realization_pair(tmp_path, capsys):
     payload = {
         "kind": "realization_pair",

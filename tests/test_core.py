@@ -176,6 +176,15 @@ def test_boundary_unitarity_of_valid_realizations():
         assert opnorm(value @ value.conj().T - eye) < 1e-8
 
 
+def test_realization_refuses_non_finite_entries():
+    entries = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]], "d": [[1.0]]}
+    Realization(**entries)
+    for name in entries:
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(StructureError, match=f"^{name} has a NaN or infinite entry$"):
+                Realization(**{**entries, name: [[bad]]})
+
+
 def test_realization_shape_checks():
     with pytest.raises(StructureError):
         Realization([[0.0, 1.0]], [[1.0]], [[1.0]], [[1.0]])

@@ -220,6 +220,18 @@ def test_discrete_gate_takes_stability_from_the_schur_diagonal():
             discrete_negative_profile(v, w)
 
 
+def test_a_tol_outside_the_unit_interval_is_refused_before_factorizing(monkeypatch):
+    def no_factorization(a):
+        raise AssertionError("factorized before checking tol")
+
+    monkeypatch.setattr(indices, "schur_form", no_factorization)
+    pair = diagonal_symbol_factors([-1, 1])
+    for tol in (0.0, -1.0, 1.0, 2.0, np.nan, np.inf, -np.inf):
+        for profile in (full_profile, negative_profile, positive_profile):
+            with pytest.raises(StructureError, match="^tolerance must be a finite number in"):
+                profile(pair, tol)
+
+
 def test_symbol_pair_refuses_mixed_flavors():
     r = blaschke_realization(BlaschkeSpec(1.0, (-1.0,)))
     with pytest.raises(StructureError):

@@ -123,6 +123,19 @@ def test_blaschke_spec_validation():
         BlaschkeSpec(1.0, (1.0,))
 
 
+def test_blaschke_spec_refuses_non_finite_numbers():
+    for rho, poles in [(complex(np.nan, 0.0), ()), (np.inf, (-1.0,)), (1.0, (np.nan,)),
+                       (1.0, (-1.0, complex(-1.0, np.inf)))]:
+        with pytest.raises(StructureError, match="^rho and the poles must be finite numbers$"):
+            BlaschkeSpec(rho, poles)
+
+
+def test_polynomial_refuses_non_finite_coefficients():
+    for coeffs in [(1.0, np.nan), (np.inf, 1.0), (complex(1.0, -np.inf), 1.0)]:
+        with pytest.raises(StructureError, match="^polynomial coefficients must be finite numbers$"):
+            Polynomial(coeffs)
+
+
 def test_diagonal_symbol_factors_block_structure():
     pair = diagonal_symbol_factors([-4, -2, 0, 3, 5])
     assert pair.v.state_dim == 8

@@ -272,19 +272,22 @@ def test_gramian_gate_refuses_every_case_the_kronecker_or_estimator_gate_refuses
     assert counts.get((False, False), 0) > 0
 
 
-def test_gramian_trace_is_shared_by_a_matrix_and_its_adjoint():
-    # tr P(t) = int |e^{ts}|_F^2 ds = tr P(t*), and P >= 0 gives |P|_2 <= tr P,
-    # so one trace screens both orientations.
+def test_gramian_trace_bounds_its_two_norm_in_both_orientations():
+    # P >= 0 gives |P|_2 <= tr P, the premise of the gate's trace screen.
     rng = np.random.default_rng(18)
     for coupling in (0.0, 0.3, 1.0, 3.0):
         for _ in range(12):
             n = int(rng.integers(1, 13))
             la = -rng.uniform(0.1, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
             f = schur_form(_with_spectrum(rng, la, coupling))
-            trace = equations._gramian_trace(f)
-            for p, _ in (equations._gramian(f), equations._gramian(f.H)):
-                assert abs(np.trace(p).real - trace) <= 1e-10 * trace
+            for p, trace in (equations._gramian(f), equations._gramian(f.H)):
+                assert trace == float(np.trace(p).real)
                 assert np.linalg.eigvalsh(p).max() <= trace * (1.0 + 1e-12)
+
+
+def _gramian_norm(f):
+    """|P|_2 of the Gramian of ``f``, the exact rule's factor."""
+    return float(np.abs(np.linalg.eigvalsh(equations._gramian(f)[0])).max())
 
 
 def _near_axis_gate(eps):
@@ -293,15 +296,19 @@ def _near_axis_gate(eps):
     tr P_a = 2/eps, so the trace bound 1/eps is twice the exact one."""
     fa, fb = schur_form(np.diag([-eps] * 4 + [-1.0])), schur_form(-eps * np.eye(1))
     norm = fa.norm_bound + fb.norm_bound
-    trace = norm * np.sqrt(equations._gramian_trace(fa) * equations._gramian_trace(fb))
-    exact = norm * np.sqrt(equations._gramian_norm(fa) * equations._gramian_norm(fb))
+    trace = norm * np.sqrt(equations._gramian(fa)[1] * equations._gramian(fb)[1])
+    exact = norm * np.sqrt(_gramian_norm(fa) * _gramian_norm(fb))
     return fa, fb, trace, exact
 
 
-def test_gramian_gate_solves_what_the_trace_screen_leaves_to_the_exact_rule():
+def test_gramian_gate_solves_what_the_trace_screen_leaves_to_the_exact_rule(monkeypatch):
     fa, fb, trace, exact = _near_axis_gate(1.5e-12)
     assert trace > CONDITION_LIMIT / 2 >= exact
+    counter = _ZtrsylCounter(equations._lapack())
+    monkeypatch.setattr(equations, "_lapack", lambda: counter)
     solution = solve_sylvester(fa, fb, np.ones((5, 1)))
+    # One Gramian per coefficient serves the screen and the exact rule, then the solve.
+    assert counter.calls == 3
     assert solution.residual <= SOLVE_TOL
     assert np.allclose(solution.x[:4], 1.0 / 3e-12)
 
@@ -311,7 +318,7 @@ def test_gramian_gate_refusal_keeps_the_exact_bound():
     assert trace > exact > CONDITION_LIMIT
     with pytest.raises(UnsolvableEquationError) as info:
         solve_sylvester(fa, fb, np.ones((5, 1)))
-    smallest = 1.0 / np.sqrt(equations._gramian_norm(fa) * equations._gramian_norm(fb))
+    smallest = 1.0 / np.sqrt(_gramian_norm(fa) * _gramian_norm(fb))
     assert info.value.smallest_singular_value == smallest
     assert smallest == pytest.approx(2e-13, rel=1e-9)
 
@@ -319,9 +326,9 @@ def test_gramian_gate_refusal_keeps_the_exact_bound():
 def test_a_gramian_with_a_perturbed_pivot_screens_nothing():
     # 2 Re t = -2e-20 is below ztrsyl's pivot floor, so it solves with a
     # perturbed pivot and P is no Gramian: the exact rule decides alone.
-    f = schur_form(np.diag([-1e-20, -1.0]))
-    assert equations._gramian(f)[0] is not None
-    assert equations._gramian_trace(f) == np.inf
+    p, trace = equations._gramian(schur_form(np.diag([-1e-20, -1.0])))
+    assert p is not None
+    assert trace == np.inf
 
 
 class _ZtrsylCounter:
@@ -349,8 +356,7 @@ def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
     for pair in (diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar):
         counter.calls = 0
         full_profile(pair)
-        # The coupling solve, and one Gramian each for a_v and a_w, whose
-        # traces also screen a_v* and a_w*.
+        # The coupling solve, and one Gramian each for a_v and a_w*.
         assert counter.calls == 3
         # A discrete profile solves one Stein equation, gated by the estimator.
         v, w = c2d(pair.v), c2d(pair.w)

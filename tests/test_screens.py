@@ -10,6 +10,7 @@ from whindex import (
     SymbolPair,
     blaschke_realization,
     c2d,
+    constant_realization,
     diagonal_symbol_factors,
     full_profile,
     unitary_twist,
@@ -108,3 +109,14 @@ def test_a_twist_the_screen_cannot_accept_is_decided_by_the_exact_rule(monkeypat
     assert len(exact) == 1 and exact[0] == pytest.approx(0.8 * tol, rel=1e-6)
     with pytest.raises(StructureError, match="^twist matrix is not unitary within tolerance$"):
         unitary_twist(r, np.diag([np.sqrt(1 + 1.5 * tol), 1.0]), "left")
+
+
+def test_a_nan_residual_fails_the_validation_screen():
+    # d*d overflows to inf - inf = NaN off the diagonal: only the feedthrough
+    # residual is NaN, and the screen must not take the finite others for it.
+    v = constant_realization(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not validate_stable_dissipative(v).verdict
+        with pytest.raises(InputValidationError) as info:
+            full_profile(SymbolPair(v, constant_realization(np.eye(2))))
+    assert str(info.value) == "factor v is not stable dissipative (stable=True, max residual=nan)"
