@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cayley import c2d, d2c
 from .core import (
@@ -309,7 +311,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # Overflow to a non-finite value is refused by the checks it reaches
+        # (a NaN residual fails validation), so numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (StructureError, InputValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

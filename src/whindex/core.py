@@ -122,10 +122,15 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _freeze(x, name: str) -> np.ndarray:
-    out = np.array(x, dtype=complex, ndmin=2)
-    if np.count_nonzero(np.isfinite(out)) < out.size:
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """``x``, refused with ``StructureError`` if it has a NaN or infinite entry."""
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         raise StructureError(f"{name} has a NaN or infinite entry")
+    return x
+
+
+def _freeze(x, name: str) -> np.ndarray:
+    out = _finite(np.array(x, dtype=complex, ndmin=2), name)
     out.setflags(write=False)
     return out
 
@@ -364,24 +369,23 @@ def eval_transfer(r: Realization, s: complex) -> np.ndarray:
     return r.d + s * (r.c @ x)
 
 
-def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=complex)
-    out[: x.shape[0], : x.shape[1]] = x
-    out[x.shape[0] :, x.shape[1] :] = y
+def _block_diag(blocks) -> np.ndarray:
+    out = _empty(sum(x.shape[0] for x in blocks), sum(x.shape[1] for x in blocks))
+    i = j = 0
+    for x in blocks:
+        out[i : i + x.shape[0], j : j + x.shape[1]] = x
+        i, j = i + x.shape[0], j + x.shape[1]
     return out
 
 
-def direct_sum(r1: Realization, r2: Realization) -> Realization:
-    """Block-diagonal sum; the transfer function is the block diagonal of the two."""
-    if r1.flavor != r2.flavor:
+def direct_sum(*parts: Realization) -> Realization:
+    """Block-diagonal sum of any number of realizations of one flavor; the transfer
+    function is the block diagonal of theirs.  No parts give the 0-state
+    continuous constant."""
+    flavor = parts[0].flavor if parts else CONTINUOUS
+    if any(r.flavor != flavor for r in parts):
         raise StructureError("direct_sum requires matching flavors")
-    return Realization(
-        _block_diag(r1.a, r2.a),
-        _block_diag(r1.b, r2.b),
-        _block_diag(r1.c, r2.c),
-        _block_diag(r1.d, r2.d),
-        r1.flavor,
-    )
+    return Realization(*(_block_diag([getattr(r, name) for r in parts]) for name in "abcd"), flavor)
 
 
 def cascade(outer: Realization, inner: Realization) -> Realization:
@@ -411,7 +415,7 @@ def cascade(outer: Realization, inner: Realization) -> Realization:
 
 def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDATION_TOL) -> Realization:
     """Multiply the transfer function by a constant unitary: U*Theta (left) or Theta*U (right)."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    u = _finite(np.atleast_2d(np.asarray(u, dtype=complex)), "twist matrix")
     m = r.output_dim
     if u.shape != (m, m):
         raise StructureError(f"twist matrix must be {m}x{m}, got {u.shape}")

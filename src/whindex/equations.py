@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _lapack, _screen, hermitize, opnorm
+from .core import _finite, _lapack, _screen, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -122,8 +122,9 @@ class SchurForm:
         return self.t + (np.conj(s) if self.adjoint else s) * np.eye(len(self.t))
 
 
-def _square(a) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+def _square(a, name: str) -> np.ndarray:
+    """``a`` as a complex square matrix, refused if it has a NaN or infinite entry."""
+    a = _finite(np.atleast_2d(np.asarray(a, dtype=complex)), name)
     if a.size == 0:
         return a.reshape(0, 0)
     if a.shape[0] != a.shape[1]:
@@ -133,7 +134,7 @@ def _square(a) -> np.ndarray:
 
 def schur_form(a: np.ndarray) -> SchurForm:
     """Complex Schur form of ``a`` (LAPACK zgees, no eigenvalue reordering)."""
-    a = _square(a)
+    a = _square(a, "a")
     if a.shape[0] == 0:
         return SchurForm(a, a, a)
     t, _, _, u, _, info = _lapack().zgees(lambda _: 0, a)
@@ -159,9 +160,10 @@ class EquationSolution:
 
 
 def _equation_inputs(a, b, c) -> tuple:
-    """a and b checked square unless they come as SchurForms, and c checked against them."""
-    a, b = (m if isinstance(m, SchurForm) else _square(m) for m in (a, b))
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
+    """a and b checked square and finite unless they come as SchurForms, and c checked
+    finite and against them."""
+    a, b = (m if isinstance(m, SchurForm) else _square(m, name) for m, name in ((a, "a"), (b, "b")))
+    c = _finite(np.atleast_2d(np.asarray(c, dtype=complex)), "c")
     p, q = len(a), len(b)
     if c.size == 0 and (p == 0 or q == 0):
         c = np.zeros((p, q), dtype=complex)
@@ -387,11 +389,9 @@ def _unit_eigenspace(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     """Ascending eigenvalues of a Hermitian contraction and an orthonormal basis
     of its eigenvectors counted by ``_unit_cut``, after the checks of
     ``eigenvalue_one_multiplicity``."""
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
+    h = _square(h, "h")
     if h.size == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    if h.shape[0] != h.shape[1]:
-        raise StructureError(f"expected a square matrix, got {h.shape}")
     asym = opnorm(h - h.conj().T)
     if asym > 1e-10 * (1.0 + opnorm(h)):
         raise StructureError(f"matrix is not Hermitian (asymmetry {asym:.3e})")

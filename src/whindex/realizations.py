@@ -2,8 +2,11 @@
 
 The two families of building blocks are powers of the half-plane-to-disk map
 ``(1-s)/(1+s)`` (built in closed form, exact up to the sqrt(2) scalings) and
-general scalar Blaschke products (built as cascades of balanced first-order
-sections, so validity is structural rather than numerical).
+general scalar Blaschke products (built in closed form as the unrolled
+cascade of balanced first-order sections).  Validity stays structural rather
+than numerical: the balance identities of either family hold entry by entry
+for every admissible input, up to the rounding of the entries, so no
+builder has to check its result.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .core import (
     SymbolPair,
     VALIDATION_TOL,
     _svd,
-    cascade,
     constant_realization,
     direct_sum,
     hermitize,
@@ -113,31 +115,25 @@ def zeta_power_realization(n: int) -> Realization:
     return Realization(a, b, c, d, CONTINUOUS)
 
 
-def _first_order_section(alpha: complex, scale: complex = 1.0) -> Realization:
-    """Balanced realization of scale * (s + conj(alpha)) / (s - alpha)."""
-    gain = math.sqrt(-2.0 * alpha.real)
-    a = np.array([[alpha]], dtype=complex)
-    b = np.array([[-gain]], dtype=complex)
-    c = np.array([[scale * gain]], dtype=complex)
-    d = np.array([[scale]], dtype=complex)
-    return Realization(a, b, c, d, CONTINUOUS)
-
-
 def blaschke_realization(spec: BlaschkeSpec) -> Realization:
-    """Stable dissipative realization of a scalar Blaschke product.
+    """Stable dissipative realization of a scalar Blaschke product, in closed form.
 
-    First-order sections are cascaded in pole order; the unimodular constant
-    is absorbed into the outermost (last) section so the output is
-    deterministic.  The state dimension equals the degree.
+    With the poles in reverse order (the last pole first) and
+    ``g_k = sqrt(-2 Re alpha_k)``, the realization is
+
+        a = diag(alpha) - triu(g g^T, 1),   b = -g,   c = rho g^T,   d = rho,
+
+    the cascade of the balanced first-order sections (s + conj(alpha_k)) /
+    (s - alpha_k) in pole order, with ``rho`` absorbed into the outermost
+    (last) one.  As ``|rho| = 1``, c*c = g g^T, so ``a + a* + c*c = 0`` holds
+    entry by entry: 2 Re alpha_k + g_k^2 = 0 on the diagonal and
+    -g_j g_k + g_j g_k = 0 off it; likewise ``b + c*d = -g + |rho|^2 g = 0``.
+    The state dimension equals the degree; no poles give the constant rho.
     """
-    if spec.degree == 0:
-        return constant_realization([[spec.rho]])
-    sections = [_first_order_section(alpha) for alpha in spec.poles[:-1]]
-    sections.append(_first_order_section(spec.poles[-1], scale=spec.rho))
-    out = sections[0]
-    for section in sections[1:]:
-        out = cascade(section, out)
-    return out
+    poles = np.array(spec.poles[::-1], dtype=complex)
+    g = np.sqrt(-2.0 * poles.real)
+    a = np.diag(poles) - np.triu(np.outer(g, g), 1)
+    return Realization(a, -g[:, None], spec.rho * g[None, :], [[spec.rho]], CONTINUOUS)
 
 
 def blaschke_eval(spec: BlaschkeSpec, s):
@@ -160,19 +156,11 @@ def diagonal_symbol_factors(powers) -> SymbolPair:
     input order.
     """
     powers = [int(p) for p in powers]
-    v_blocks = []
-    w_blocks = []
-    for p in powers:
-        v_blocks.append(zeta_power_realization(p) if p > 0 else constant_realization([[1.0]]))
-        w_blocks.append(zeta_power_realization(-p) if p < 0 else constant_realization([[1.0]]))
 
-    def fold(blocks):
-        out = constant_realization(np.zeros((0, 0), dtype=complex))
-        for block in blocks:
-            out = direct_sum(out, block)
-        return out
+    def block(p):
+        return zeta_power_realization(p) if p > 0 else constant_realization([[1.0]])
 
-    return SymbolPair(fold(v_blocks), fold(w_blocks))
+    return SymbolPair(direct_sum(*map(block, powers)), direct_sum(*(block(-p) for p in powers)))
 
 
 def p_sharp(p: Polynomial) -> Polynomial:

@@ -51,9 +51,7 @@ def random_mimo_realization(
     rng: np.random.Generator, m: int, max_block_degree: int = 3
 ) -> Realization:
     """Random m x m inner function: a diagonal of scalar factors twisted by unitaries."""
-    out = random_siso_realization(rng, max_block_degree)
-    for _ in range(m - 1):
-        out = direct_sum(out, random_siso_realization(rng, max_block_degree))
+    out = direct_sum(*(random_siso_realization(rng, max_block_degree) for _ in range(m)))
     out = unitary_twist(out, random_unitary(rng, m), "left")
     return unitary_twist(out, random_unitary(rng, m), "right")
 

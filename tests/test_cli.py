@@ -196,6 +196,24 @@ def test_indices_rejects_invalid_realization_pair(tmp_path, capsys):
     assert code == 2 and "stable dissipative" in err
 
 
+def test_a_factor_that_overflows_is_refused_without_numpy_warnings(tmp_path):
+    # d*d - I of this finite v overflows to inf and NaN; validation refuses the NaN residual.
+    big = [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    payload = {
+        "kind": "realization_pair",
+        "v": {"flavor": "continuous", "a": [], "b": [], "c": [], "d": big},
+        "w": {"flavor": "continuous", "a": [], "b": [], "c": [], "d": eye},
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "whindex.cli", "indices", write_problem(tmp_path, payload)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    message = "error: factor v is not stable dissipative (stable=True, max residual=nan)\n"
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message)
+
+
 def test_indices_output_file(tmp_path, capsys):
     problem = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [2]})
     out_path = tmp_path / "report.json"

@@ -121,6 +121,28 @@ def test_direct_sum_commutes_with_eval():
         assert opnorm(got - expected) < 1e-10
 
 
+def test_n_ary_direct_sum_is_bitwise_the_binary_fold():
+    rng = np.random.default_rng(3113)
+    for _ in range(10):
+        x, y, z = (random_mimo_realization(rng, int(rng.integers(1, 3)), 2) for _ in range(3))
+        summed, folded = direct_sum(x, y, z), direct_sum(direct_sum(x, y), z)
+        for name in "abcd":
+            assert getattr(summed, name).shape == getattr(folded, name).shape
+            assert getattr(summed, name).tobytes() == getattr(folded, name).tobytes()
+    assert direct_sum(x).a.tobytes() == x.a.tobytes()
+
+
+def test_direct_sum_of_no_parts_is_the_empty_continuous_constant():
+    r = direct_sum()
+    assert (r.state_dim, r.output_dim, r.flavor) == (0, 0, CONTINUOUS)
+
+
+def test_direct_sum_refuses_mixed_flavors():
+    x = zeta_power_realization(1)
+    with pytest.raises(StructureError, match="matching flavors"):
+        direct_sum(x, x, c2d(x))
+
+
 def test_cascade_squares_the_zeta_block():
     zeta = zeta_power_realization(1)
     squared = cascade(zeta, zeta)
@@ -165,6 +187,11 @@ def test_unitary_twist_left_transfer_and_validity():
 def test_unitary_twist_rejects_non_unitary():
     with pytest.raises(StructureError):
         unitary_twist(zeta_power_realization(1), np.array([[2.0]]), "left")
+
+
+def test_unitary_twist_refuses_a_non_finite_matrix():
+    with pytest.raises(StructureError, match="^twist matrix has a NaN or infinite entry$"):
+        unitary_twist(zeta_power_realization(1), [[float("nan")]], "left")
 
 
 def test_boundary_unitarity_of_valid_realizations():

@@ -9,6 +9,7 @@ from whindex import (
     UnsolvableEquationError,
     direct_sum,
     eigenvalue_one_multiplicity,
+    schur_form,
     solve_stein,
     solve_sylvester,
     unit_eigenvectors,
@@ -150,3 +151,22 @@ def test_disk_map_eigenvalue_round_trip():
         target = np.linalg.eigvals(-a)
         diff = np.abs(np.sort_complex(recovered) - np.sort_complex(target)).max()
         assert diff < 1e-8
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: solve_sylvester(-np.eye(2), -np.eye(2), np.full((2, 2), NAN)), "c"),
+    (lambda: solve_sylvester([[NAN]], -np.eye(1), [[1.0]]), "a"),
+    (lambda: solve_sylvester(-np.eye(1), [[complex(-1.0, INF)]], [[1.0]]), "b"),
+    (lambda: solve_stein(0.5 * np.eye(2), 0.5 * np.eye(2), np.full((2, 2), INF)), "c"),
+    (lambda: eigenvalue_one_multiplicity([[NAN]]), "h"),
+    (lambda: unit_eigenvectors([[INF, 0.0], [0.0, 1.0]]), "h"),
+    (lambda: zeta_of_minus([[NAN]]), "a"),
+    (lambda: schur_form([[INF]]), "a"),
+], ids=["sylvester-c", "sylvester-a", "sylvester-b", "stein-c", "multiplicity", "eigenvectors",
+        "disk-map", "schur-form"])
+def test_non_finite_dense_input_is_refused_as_malformed(call, name):
+    with pytest.raises(StructureError, match=f"^{name} has a NaN or infinite entry$"):
+        call()

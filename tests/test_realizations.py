@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cascade_oracle
 from whindex import (
     BlaschkeSpec,
     EvaluationError,
@@ -16,6 +17,7 @@ from whindex import (
     defect_rank,
     diagonal_symbol_factors,
     eval_transfer,
+    full_profile,
     p_sharp,
     poly_of_matrix,
     recover_blaschke_pointwise,
@@ -24,7 +26,7 @@ from whindex import (
     zeta_of_minus,
     zeta_power_realization,
 )
-from whindex.core import opnorm
+from whindex.core import Realization, opnorm
 from whindex.equations import CONDITION_LIMIT
 from whindex.sampling import (
     random_blaschke_spec,
@@ -114,6 +116,42 @@ def test_blaschke_realization_matches_pointwise_formula():
         r = blaschke_realization(spec)
         s = complex(rng.uniform(0.1, 2), rng.uniform(-2, 2))
         assert abs(eval_transfer(r, s)[0, 0] - blaschke_eval(spec, s)) < 1e-10
+
+
+def _bitwise_equal(x, y):
+    return all(getattr(x, k).shape == getattr(y, k).shape
+               and getattr(x, k).tobytes() == getattr(y, k).tobytes() for k in "abcd")
+
+
+def test_closed_form_blaschke_is_bitwise_the_cascade_of_sections():
+    rng = np.random.default_rng(3111)
+    for degree in range(41):
+        for kind in ("distinct", "repeated", "near axis"):
+            spec = random_blaschke_spec(rng, degree)
+            poles = list(spec.poles)
+            if kind == "repeated" and degree:
+                poles = [poles[0]] * (degree // 2) + poles[degree // 2 :]
+            if kind == "near axis" and degree:
+                poles[int(rng.integers(degree))] = complex(-10.0 ** -rng.uniform(6, 14), rng.uniform(-3, 3))
+            for rho in (spec.rho, 1.0, -1.0):
+                spec = BlaschkeSpec(rho, tuple(poles))
+                assert _bitwise_equal(blaschke_realization(spec), cascade_oracle.cascaded_blaschke(spec)), (
+                    degree, kind, rho)
+
+
+def test_blaschke_realization_constructs_one_realization(monkeypatch):
+    constructed = []
+    post_init = Realization.__post_init__
+    monkeypatch.setattr(Realization, "__post_init__", lambda r: constructed.append(r) or post_init(r))
+    r = blaschke_realization(random_blaschke_spec(np.random.default_rng(3112), 12))
+    assert constructed == [r]
+
+
+def test_diagonal_symbol_factors_of_no_powers_is_the_empty_profile():
+    pair = diagonal_symbol_factors([])
+    for r in (pair.v, pair.w):
+        assert (r.state_dim, r.output_dim, r.flavor) == (0, 0, "continuous")
+    assert full_profile(pair).all_indices == ()
 
 
 def test_blaschke_spec_validation():
