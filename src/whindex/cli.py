@@ -68,8 +68,8 @@ _COMPUTE_ERRORS = (
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructureError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -153,9 +153,16 @@ def render_pretty(report: dict) -> str:
     return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text + "\n")
+    except OSError as exc:
+        raise StructureError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text + "\n")
+        _write(Path(output), text)
     else:
         sys.stdout.write(text + "\n")
 
@@ -247,13 +254,16 @@ def cmd_example(args) -> int:
             f"unknown example {args.name!r}; available: {', '.join(sorted(EXAMPLE_PROBLEMS))}"
         )
     out_dir = Path(args.output or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StructureError(f"cannot create directory {out_dir}: {exc}") from exc
     pair = load_problem_pair(problem)
     report = build_report(full_profile(pair, tol=args.tol), args.tol)
     problem_path = out_dir / f"{args.name}.problem.json"
     report_path = out_dir / f"{args.name}.report.json"
-    problem_path.write_text(canonical_json(problem) + "\n")
-    report_path.write_text(canonical_json(report) + "\n")
+    _write(problem_path, canonical_json(problem))
+    _write(report_path, canonical_json(report))
     sys.stdout.write(f"{problem_path}\n{report_path}\n")
     return EXIT_OK
 

@@ -2,21 +2,22 @@
 
 The continuous equation ``a x + x b + c = 0`` and the discrete equation
 ``x = a x b + c`` are both solved by the Bartels-Stewart method (Bartels &
-Stewart, CACM 1972): reduce ``a`` and ``b`` to complex Schur form, solve the
-triangular equation with LAPACK ``ztrsyl``, and transform back.  The discrete
-equation reaches the same ``ztrsyl`` call through a Cayley transform of the
-two triangular factors.  Everything is cubic in the state dimension, and a
-Schur form computed once serves every equation whose coefficient is that
-matrix or its adjoint.
+Stewart, CACM 1972): reduce ``a`` and ``b`` to complex Schur forms T_a and
+T_b, solve one triangular Sylvester equation with LAPACK ``ztrsyl``, and
+transform back.  The continuous equation's triangular pair is (T_a, T_b).
+The discrete one's is the pair of Cayley factors A = (T_a + s)^{-1}(T_a - s)
+and B = (T_b + s̄)^{-1}(T_b - s̄) for a unit-modulus s, as
+y - T_a y T_b = -(T_a + s)(A y + y B)(T_b + s̄)/2.  Everything is cubic in
+the state dimension, and a Schur form computed once serves every equation
+whose coefficient is that matrix or its adjoint.
 
 Every solve is gated on conditioning, measured in the 2-norm of the
 vectorized operator as a dense Kronecker solver would measure it.  The
 operator's own norm is bounded from above, and a solution whose condition
 number, so bounded or estimated, exceeds ``CONDITION_LIMIT`` is refused.
-
-When both Sylvester coefficients are Hurwitz (every diagonal entry of both
-Schur factors has negative real part), the norm of the inverse is bounded
-from above by Gramians (after Hewer & Kenney, SIAM J. Control Optim. 1988):
+When both factors of the triangular pair are Hurwitz, Gramians bound the
+norm of the inverse from above (after Hewer & Kenney, SIAM J. Control
+Optim. 1988):
 
     |L^{-1}|_2 <= sqrt(|P_a|_2 |P_b|_2)  for L(x) = a x + x b,
     where  a P_a + P_a a* + I = 0  and  b P_b + P_b b* + I = 0.
@@ -25,20 +26,29 @@ Proof: x = L^{-1}(c) = -int_0^inf e^{at} c e^{bt} dt.  For any y,
 Cauchy-Schwarz in the trace inner product and then in t gives
 |<y, x>| <= (int |e^{a*t} y|_F^2)^{1/2} (int |c e^{bt}|_F^2)^{1/2}
 = tr(y* P_a y)^{1/2} tr(c P_b c*)^{1/2} <= sqrt(|P_a| |P_b|) |y|_F |c|_F.
+For S(x) = x - a x b with Schur-stable a and b, x = S^{-1}(c) = sum_k a^k c b^k,
+and the same argument, summing over k, gives |S^{-1}|_2 <= sqrt(|Q_a| |Q_b|)
+with Q_a - a Q_a a* = I and Q_b - b Q_b b* = I.  T is Schur stable exactly
+when its Cayley factor A is Hurwitz, and then Q = 2 (T + s)^{-1} P (T + s)^{-*}
+with A P + P A* + I = 0: as |s| = 1, multiplying A P + P A* = -I by T + s on
+the left and (T + s)* on the right gives 2 (T P T* - P) = -(T + s)(T + s)*,
+and (T + s)^{-1} commutes with T.  So either equation pays one ``ztrsyl``
+call per coefficient, on the triangular factor its solve uses.
 
-In Schur coordinates each Gramian is one ``ztrsyl`` call on the triangular
-factor, and a Sylvester solve makes one per coefficient.  Like every
-tolerance check in whindex whose value is not reported, the gate decides
-with a cheaper upper bound first.  P is positive semidefinite, so
-|P|_2 <= tr P.  The gate accepts if the operator norm bound times
-sqrt(tr P_a tr P_b) is at most half the limit, and otherwise applies the
-2-norm rule above to the same two Gramians, with one Hermitian eigenvalue
-solve each.  The decision is always the 2-norm rule's.  In every other
-case -- the Stein equation, or a Sylvester coefficient that is not
-Hurwitz -- the norm of the inverse is estimated from below with the
-Hager/Higham estimator, driven by ``ztrsyl`` and its conjugate-transposed
-form as LAPACK ``ztrsna`` does when it estimates ``sep``, followed by one
-power step.
+Like every tolerance check in whindex whose value is not reported, the gate
+decides with a cheaper upper bound first.  A Gramian is positive
+semidefinite, so its 2-norm is at most its trace.  The gate accepts if the
+operator norm bound times sqrt(tr G_a tr G_b), G = P or Q, is at most half
+the limit.  Otherwise a Sylvester equation applies the 2-norm rule to the
+same two Gramians, with one Hermitian eigenvalue solve each, and that rule
+decides.  A Stein equation, or a pair that is not Hurwitz, goes instead to
+the Hager/Higham estimator of the norm of the inverse, a lower estimate,
+driven by ``ztrsyl`` and its conjugate-transposed form as LAPACK ``ztrsna``
+does when it estimates ``sep``, followed by one power step.  The Stein
+Gramian only screens: its 2-norm rule would refuse well-conditioned
+equations whose coefficients each have an eigenvalue near the unit circle
+at unrelated angles, which the estimator accepts.  A screened acceptance is
+the estimator's decision too, as the estimate is at most |S^{-1}|_2.
 
 SciPy's LAPACK wrappers (``core._lapack``) are loaded by the first
 factorization or SVD rather than with the package, and without the
@@ -107,11 +117,6 @@ class SchurForm:
         """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
         mag = np.abs(self.t)
         return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
-
-    @property
-    def hurwitz(self) -> bool:
-        """Whether every eigenvalue of the non-empty represented matrix has negative real part."""
-        return bool(np.diag(self.t).real.max() < 0.0)
 
     def op(self) -> np.ndarray:
         """The represented triangular factor, t or t*."""
@@ -185,39 +190,25 @@ def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, ad
     return y if scale == 1.0 else y / scale
 
 
-def _gramian(f: SchurForm) -> tuple[np.ndarray | None, float]:
-    """P with op(t) P + P op(t)* + I = 0 and its trace, which bounds |P|_2 as P >= 0.
+def _gramian(f: SchurForm, t=None, inverse=None) -> tuple[np.ndarray | None, float]:
+    """Gramian of a coefficient and its trace, which bounds its 2-norm as it is >= 0.
 
-    P is None when it is not finite.  The trace is infinite then, and also where
+    That is P with op(t) P + P op(t)* + I = 0, t the Schur factor of f unless
+    given, or for the Cayley factor t and ``inverse`` of ``_shift_inverse`` the
+    Stein Gramian 2 inverse P inverse*, which solves Q - op(f.t) Q op(f.t)* = I.
+    It is None when P is not finite.  The trace is infinite then, and also where
     ztrsyl perturbed a near-singular pivot, as P is then no semidefinite Gramian.
     """
+    t = f.t if t is None else t
     p, scale, info = _lapack().ztrsyl(
-        f.t, f.t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
+        t, t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
     )
     if not np.isfinite(p).all():
         return None, np.inf
     p = p if scale == 1.0 else p / scale
+    if inverse is not None:
+        p = 2.0 * (inverse @ p @ inverse.conj().T)
     return p, np.inf if info else float(np.trace(p).real)
-
-
-def _sylvester_operator(fa: SchurForm, fb: SchurForm):
-    """2-norm bound of y -> op(ta) y + y op(tb), a solver for it and its adjoint,
-    and a Gramian bound on the 2-norm of its inverse (None unless both are Hurwitz):
-    sqrt(tr P_a tr P_b) where ``_screen`` accepts with it, sqrt(|P_a|_2 |P_b|_2) otherwise."""
-
-    def solve(rhs, adjoint=False):
-        return _trsyl(fa, fa.t, fb, fb.t, rhs, adjoint)
-
-    norm, inverse_bound = fa.norm_bound + fb.norm_bound, None
-    if fa.hurwitz and fb.hurwitz:
-        (pa, trace_a), (pb, trace_b) = _gramian(fa), _gramian(fb)
-        inverse_bound = float(np.sqrt(trace_a * trace_b))
-        if not _screen(norm * inverse_bound, CONDITION_LIMIT):
-            norm_a, norm_b = (
-                np.inf if p is None else float(np.abs(np.linalg.eigvalsh(p)).max()) for p in (pa, pb)
-            )
-            inverse_bound = float(np.sqrt(norm_a * norm_b))
-    return norm, solve, inverse_bound
 
 
 def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
@@ -237,27 +228,6 @@ def _shift_inverse(f: SchurForm, s: complex) -> tuple[np.ndarray, np.ndarray]:
         raise UnsolvableEquationError("shifted Schur factor is exactly singular", 0.0)
     cayley = inverse @ f.shifted(-s)
     return cayley, (inverse.conj().T if f.adjoint else inverse)
-
-
-def _stein_operator(fa: SchurForm, fb: SchurForm):
-    """2-norm bound of y -> y - op(ta) y op(tb), a solver for it and its adjoint, and None.
-
-    With A = (op(ta) + s)^{-1}(op(ta) - s) and B = (op(tb) + s̄)^{-1}(op(tb) - s̄),
-    both triangular, y - op(ta) y op(tb) = -2 (I - A)^{-1} (A y + y B) (I - B)^{-1},
-    so the Stein equation becomes A y + y B = -2 (op(ta) + s)^{-1} c (op(tb) + s̄)^{-1}.
-    s is the eighth root of unity whose negative lies farthest from both
-    spectra, so the two shifted factors are safely invertible.
-    """
-    s = _cayley_shift(fa, fb)
-    ca, ia = _shift_inverse(fa, s)
-    cb, ib = _shift_inverse(fb, np.conj(s))
-
-    def solve(rhs, adjoint=False):
-        if adjoint:
-            return -2.0 * (ia.conj().T @ _trsyl(fa, ca, fb, cb, rhs, True) @ ib.conj().T)
-        return _trsyl(fa, ca, fb, cb, -2.0 * (ia @ rhs @ ib), False)
-
-    return 1.0 + fa.norm_bound * fb.norm_bound, solve, None
 
 
 def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
@@ -294,16 +264,54 @@ def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
     return max(est / np.sqrt(size), float(np.linalg.norm(solve(z)) / np.linalg.norm(z)))
 
 
-def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.ndarray:
-    """Solve L(x) = c for the triangular operator L in the Schur bases of fa and fb.
+def _operator(fa: SchurForm, fb: SchurForm, stein: bool = False):
+    """2-norm bound of the operator L, a solver for L and its adjoint, and a
+    Gramian bound on the 2-norm of L's inverse, or None where it is estimated.
 
-    Refuses the solution when an upper bound on the operator's 2-norm times
-    the 2-norm of its inverse exceeds ``CONDITION_LIMIT``.  The latter is the
-    operator's own upper bound where it has one, and estimated otherwise.
-    Only the zero operator has a zero norm bound; it is refused without
-    estimating.
+    L is y -> op(ta) y + y op(tb) in the Schur bases of fa and fb, or with
+    ``stein`` y -> y - op(ta) y op(tb), solved on the Cayley factors of ta and
+    tb for the eighth root of unity s whose negative lies farthest from both
+    spectra.  Where both factors of the triangular pair are Hurwitz the bound
+    is sqrt(tr G_a tr G_b) if ``_screen`` accepts with it, and otherwise
+    sqrt(|P_a|_2 |P_b|_2) for Sylvester and None for Stein.
     """
-    norm, solve, inverse_norm = operator(fa, fb)
+    if stein:
+        s = _cayley_shift(fa, fb)
+        (ta, ia), (tb, ib) = _shift_inverse(fa, s), _shift_inverse(fb, np.conj(s))
+        norm = 1.0 + fa.norm_bound * fb.norm_bound
+    else:
+        ta, ia, tb, ib = fa.t, None, fb.t, None
+        norm = fa.norm_bound + fb.norm_bound
+
+    def solve(rhs, adjoint=False):
+        if ia is None:
+            return _trsyl(fa, ta, fb, tb, rhs, adjoint)
+        if adjoint:
+            return -2.0 * (ia.conj().T @ _trsyl(fa, ta, fb, tb, rhs, True) @ ib.conj().T)
+        return _trsyl(fa, ta, fb, tb, -2.0 * (ia @ rhs @ ib), False)
+
+    if max(np.diag(ta).real.max(), np.diag(tb).real.max()) >= 0.0:
+        return norm, solve, None
+    (pa, trace_a), (pb, trace_b) = _gramian(fa, ta, ia), _gramian(fb, tb, ib)
+    bound = float(np.sqrt(trace_a * trace_b))
+    if _screen(norm * bound, CONDITION_LIMIT):
+        return norm, solve, bound
+    if stein:
+        return norm, solve, None
+    norms = [np.inf if p is None else np.abs(np.linalg.eigvalsh(p)).max() for p in (pa, pb)]
+    return norm, solve, float(np.sqrt(norms[0] * norms[1]))
+
+
+def _solve(a, b, c, stein: bool) -> EquationSolution:
+    """Solve ``a x + x b + c = 0``, or with ``stein`` ``x = a x b + c``, refused
+    when the operator's norm bound times the Gramian bound or the estimate of
+    the norm of its inverse exceeds ``CONDITION_LIMIT``.  Only the zero
+    operator has a zero norm bound; it is refused without estimating."""
+    a, b, c = _equation_inputs(a, b, c)
+    if c.size == 0:
+        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
+    fa, fb = _factored(a), _factored(b)
+    norm, solve, inverse_norm = _operator(fa, fb, stein)
     if inverse_norm is None:
         inverse_norm = _inverse_norm_estimate(solve, c.shape) if norm > 0.0 else np.inf
     if not np.isfinite(inverse_norm) or norm * inverse_norm > CONDITION_LIMIT:
@@ -313,8 +321,9 @@ def _solve_gated(fa: SchurForm, fb: SchurForm, c: np.ndarray, operator) -> np.nd
             f"(estimated smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest,
         )
-    y = solve(fa.u.conj().T @ c @ fb.u)
-    return fa.u @ y @ fb.u.conj().T
+    x = fa.u @ solve(fa.u.conj().T @ (c if stein else -c) @ fb.u) @ fb.u.conj().T
+    a, b = _dense(a), _dense(b)
+    return EquationSolution(x, opnorm(x - a @ x @ b - c if stein else a @ x + x @ b + c))
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:
@@ -326,12 +335,7 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolu
     empty solution is returned.  ``a`` and ``b`` may be given as
     ``SchurForm`` objects, whose factorizations are then reused.
     """
-    a, b, c = _equation_inputs(a, b, c)
-    if c.size == 0:
-        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
-    x = _solve_gated(_factored(a), _factored(b), -c, _sylvester_operator)
-    residual = opnorm(_dense(a) @ x + x @ _dense(b) + c)
-    return EquationSolution(x, residual)
+    return _solve(a, b, c, stein=False)
 
 
 def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:
@@ -341,12 +345,7 @@ def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution
     with an eigenvalue of ``b`` equals one; both factors being Schur stable
     guarantees this.  ``a`` and ``b`` may be given as ``SchurForm`` objects.
     """
-    a, b, c = _equation_inputs(a, b, c)
-    if c.size == 0:
-        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
-    x = _solve_gated(_factored(a), _factored(b), c, _stein_operator)
-    residual = opnorm(x - _dense(a) @ x @ _dense(b) - c)
-    return EquationSolution(x, residual)
+    return _solve(a, b, c, stein=True)
 
 
 def zeta_of_minus(a: np.ndarray) -> np.ndarray:

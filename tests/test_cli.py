@@ -117,7 +117,7 @@ def test_indices_pretty_mode(tmp_path, capsys):
     assert "all_indices" in out and "-1" in out
 
 
-def test_indices_malformed_inputs(tmp_path, capsys):
+def test_indices_malformed_inputs(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "indices", write_problem(tmp_path, {"kind": "bogus"}))
     assert code == 2 and "problem.kind" in err
 
@@ -141,6 +141,80 @@ def test_indices_malformed_inputs(tmp_path, capsys):
     }
     code, _, err = run(capsys, "indices", write_problem(tmp_path, payload))
     assert code == 2 and "problem.v: b must be 0x1, got shape (1, 1)" in err
+
+    w = realization_to_json(zeta_power_realization(1))
+    spec = {"rho": [1.0, 0.0], "poles": [[-1.0, 0.0]]}
+
+    def pair(**v):
+        return {"kind": "realization_pair", "v": {**w, **v}, "w": w}
+
+    def blaschke(phi):
+        return {"kind": "scalar_blaschke_pair", "phi": phi, "m": spec}
+
+    table = [
+        (pair(d=[[[1.0]]]), "problem.v.d[0][0]: expected a [re, im] pair, got [1.0]"),
+        (pair(d=[[["1", 0.0]]]), "problem.v.d[0][0]: entries of a [re, im] pair must be numbers"),
+        (pair(d="1"), "problem.v.d: expected a nested array"),
+        (pair(d=[1.0]), "problem.v.d[0]: expected an array of [re, im] pairs"),
+        (pair(d=[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]),
+         "problem.v.d[1]: ragged row (expected width 2)"),
+        ({"kind": "realization_pair", "v": [], "w": w}, "problem.v: expected an object"),
+        ({"kind": "realization_pair", "v": {k: x for k, x in w.items() if k != "c"}, "w": w},
+         "problem.v.c: missing field"),
+        (pair(flavor="hybrid"),
+         "problem.v.flavor: must be 'continuous' or 'discrete', got 'hybrid'"),
+        (blaschke(3), "problem.phi: expected an object"),
+        (blaschke({"poles": []}), "problem.phi.rho: missing field"),
+        (blaschke({"rho": [1.0, 0.0], "poles": 5}),
+         "problem.phi.poles: expected an array of [re, im] pairs"),
+        ([1, 2], "problem: expected a JSON object"),
+        ({"kind": "diagonal_powers", "powers": []},
+         "problem.powers: expected a nonempty array of integers"),
+    ]
+    for payload, message in table:
+        code, out, err = run(capsys, "indices", write_problem(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # A report that cannot be serialized is refused by canonical_json.
+    import whindex.cli as cli
+
+    path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [1]})
+    for report, message in (
+        ({"residual": float("nan")}, "cannot serialize non-finite number nan"),
+        ({"residual": {1.0}}, "cannot serialize object of type set"),
+    ):
+        monkeypatch.setattr(cli, "build_report", lambda profile, tol: report)
+        assert run(capsys, "indices", path) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["utf8-problem", "utf8-realization", "indices-output", "cayley-output", "stability-output",
+     "example-output"],
+)
+def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"kind": "diagonal_powers", "powers": [1], "note": "\xe9"}')
+    decode = "'utf-8' codec can't decode byte 0xe9 in position 52: invalid continuation byte"
+    realization = tmp_path / "zeta.json"
+    realization.write_text(json.dumps(realization_to_json(zeta_power_realization(1))))
+    problem = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [1]})
+    target = tmp_path / "missing" / "out.json"
+    missing = f"cannot write {target}: [Errno 2] No such file or directory: '{target}'"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv, message = {
+        "utf8-problem": (["indices", str(not_utf8)], f"cannot read {not_utf8}: {decode}"),
+        "utf8-realization": (["cayley", str(not_utf8), "c2d"], f"cannot read {not_utf8}: {decode}"),
+        "indices-output": (["indices", problem, "--output", str(target)], missing),
+        "cayley-output": (["cayley", str(realization), "c2d", "--output", str(target)], missing),
+        "stability-output": (["stability", "1 1", "--output", str(target)], missing),
+        "example-output": (
+            ["example", "dss", "--output", str(taken)],
+            f"cannot create directory {taken}: [Errno 17] File exists: '{taken}'",
+        ),
+    }[case]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_non_finite_inputs_are_refused_as_malformed(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_gramian_bound_is_at_least_the_exact_inverse_norm():
         for _ in range(12):
             a, b = _hurwitz_resonant_pair(rng, gap)
             exact = 1.0 / np.linalg.svd(kron.sylvester_system(a, b), compute_uv=False)[-1]
-            bound = equations._sylvester_operator(schur_form(a), schur_form(b))[2]
+            bound = equations._operator(schur_form(a), schur_form(b))[2]
             assert bound >= exact * (1.0 - 1e-6)
 
 
@@ -253,7 +253,7 @@ def test_gramian_gate_refuses_every_case_the_kronecker_or_estimator_gate_refuses
                 kronecker = False
             except kron.Refused:
                 kronecker = True
-            norm, solve, bound = equations._sylvester_operator(schur_form(a), schur_form(b))
+            norm, solve, bound = equations._operator(schur_form(a), schur_form(b))
             estimator = norm * equations._inverse_norm_estimate(solve, c.shape) > CONDITION_LIMIT
             try:
                 solve_sylvester(a, b, c)
@@ -345,26 +345,31 @@ class _ZtrsylCounter:
         return self.lapack.ztrsyl(*args, **kwargs)
 
 
-def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
-    counter = _ZtrsylCounter(equations._lapack())
-    monkeypatch.setattr(equations, "_lapack", lambda: counter)
+def _profile_pairs():
+    """Seeded continuous pairs of the work-count tests."""
     specs = np.random.default_rng(17)
     scalar = SymbolPair(
         blaschke_realization(random_blaschke_spec(specs, 9)),
         blaschke_realization(random_blaschke_spec(specs, 13)),
     )
-    for pair in (diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar):
+    return diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar
+
+
+def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
+    counter = _ZtrsylCounter(equations._lapack())
+    monkeypatch.setattr(equations, "_lapack", lambda: counter)
+    for pair in _profile_pairs():
         counter.calls = 0
         full_profile(pair)
         # The coupling solve, and one Gramian each for a_v and a_w*.
         assert counter.calls == 3
-        # A discrete profile solves one Stein equation, gated by the estimator.
+        # A discrete profile solves one Stein equation, with one Gramian per Cayley factor.
         v, w = c2d(pair.v), c2d(pair.w)
         counter.calls = 0
         full_profile(SymbolPair(v, w))
         profile_calls, counter.calls = counter.calls, 0
         solve_stein(schur_form(v.a), schur_form(w.a).H, v.b @ w.b.conj().T)
-        assert profile_calls == counter.calls > 1
+        assert profile_calls == counter.calls == 3
     rng = np.random.default_rng(16)
     counter.calls = 0
     solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
@@ -382,3 +387,102 @@ def test_gramian_gate_refuses_a_well_conditioned_equation_near_the_axis():
     with pytest.raises(UnsolvableEquationError) as info:
         solve_sylvester(a, b, np.ones((2, 2)))
     assert info.value.smallest_singular_value == pytest.approx(2e-12, rel=1e-6)
+
+
+def test_profiles_of_both_flavors_never_estimate(monkeypatch):
+    def refuse_to_estimate(*args):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(equations, "_inverse_norm_estimate", refuse_to_estimate)
+    rng = np.random.default_rng(19)
+    pairs = list(_profile_pairs()) + [
+        SymbolPair(
+            blaschke_realization(random_blaschke_spec(rng, int(rng.integers(1, 9)))),
+            blaschke_realization(random_blaschke_spec(rng, int(rng.integers(1, 9)))),
+        )
+        for _ in range(10)
+    ]
+    for pair in pairs:
+        full_profile(pair)
+        full_profile(SymbolPair(c2d(pair.v), c2d(pair.w)))
+
+
+#: Distances from the unit circle of the near-circle Stein sweeps, 1e-4 down to 1e-14.
+CIRCLE_GAPS = [10.0 ** -e for e in range(4, 15)]
+
+
+def _schur_stable_pair(rng, gap, kind):
+    """Schur-stable (a, b) with an eigenvalue each at distance ``gap`` from the circle.
+
+    For ``kind == "resonant"`` the two eigenvalues are conjugate in angle, so
+    their product comes within about 2 gap of 1 and x -> x - a x b within about
+    2 gap of singular.  For ``"split"`` they sit at unrelated angles: the
+    operator stays far from singular while both Stein Gramians grow like 1/gap.
+    """
+    p, q = (int(n) for n in rng.integers(1, 13, size=2))
+    coupling = (0.0, 0.3, 1.0)[rng.integers(3)]
+    la = rng.uniform(0.1, 0.9, p) * np.exp(2j * np.pi * rng.uniform(size=p))
+    lb = rng.uniform(0.1, 0.9, q) * np.exp(2j * np.pi * rng.uniform(size=q))
+    angle, other = 2.0 * np.pi * rng.uniform(size=2)
+    la[0] = (1.0 - gap) * np.exp(1j * angle)
+    lb[0] = (1.0 - gap) * np.exp(-1j * angle if kind == "resonant" else 1j * other)
+    return _with_spectrum(rng, la, coupling), _with_spectrum(rng, lb, coupling)
+
+
+def _stein_gramian(f, s):
+    """Q with Q - op(t) Q op(t)* = I for the Schur factor of ``f``, by way of its Cayley factor."""
+    return equations._gramian(f, *equations._shift_inverse(f, s))[0]
+
+
+def test_stein_gramian_bound_is_at_least_the_exact_inverse_norm():
+    rng = np.random.default_rng(20)
+    screened = 0
+    for gap in [0.5, 1e-1, 1e-2, 1e-3, 1e-4]:
+        for kind in ("resonant", "split"):
+            for _ in range(4):
+                a, b = _schur_stable_pair(rng, gap, kind)
+                for fa, fb in (
+                    (schur_form(a), schur_form(b)),
+                    (schur_form(a), schur_form(b).H),
+                    (schur_form(a).H, schur_form(b)),
+                ):
+                    s = equations._cayley_shift(fa, fb)
+                    qa, qb = _stein_gramian(fa, s), _stein_gramian(fb, np.conj(s))
+                    for f, q in ((fa, qa), (fb, qb)):
+                        t = f.op()
+                        assert opnorm(q - t @ q @ t.conj().T - np.eye(len(f))) <= 1e-9 * opnorm(q)
+                    system = kron.stein_system(fa.matrix, fb.matrix)
+                    exact = 1.0 / np.linalg.svd(system, compute_uv=False)[-1]
+                    norms = [np.linalg.eigvalsh(q).max() for q in (qa, qb)]
+                    assert np.sqrt(norms[0] * norms[1]) >= exact * (1.0 - 1e-6)
+                    bound = equations._operator(fa, fb, stein=True)[2]
+                    if bound is not None:
+                        screened += 1
+                        assert bound >= exact * (1.0 - 1e-6)
+    # Most of these equations are well inside the limit, so the screen decides them.
+    assert screened > 60
+
+
+@pytest.mark.parametrize("kind", ["resonant", "split"])
+def test_stein_gate_decides_as_the_estimator_rule_near_the_circle(kind):
+    rng = np.random.default_rng(21 if kind == "resonant" else 22)
+    counts = {}
+    for gap in CIRCLE_GAPS:
+        for _ in range(20):
+            a, b = _schur_stable_pair(rng, gap, kind)
+            c = _complex_normal(rng, (len(a), len(b)))
+            norm, solve, _ = equations._operator(schur_form(a), schur_form(b), stein=True)
+            estimate = equations._inverse_norm_estimate(solve, c.shape)
+            refused = not np.isfinite(estimate) or norm * estimate > CONDITION_LIMIT
+            try:
+                solve_stein(a, b, c)
+                gate = None
+            except UnsolvableEquationError as exc:
+                gate = exc.smallest_singular_value
+            assert (gate is not None) == refused
+            if refused:
+                assert gate == 1.0 / estimate
+            counts[refused] = counts.get(refused, 0) + 1
+    # Resonant cases straddle the limit; split ones are well conditioned throughout.
+    assert counts.get(False, 0) > 0
+    assert (counts.get(True, 0) > 0) == (kind == "resonant")
