@@ -13,10 +13,11 @@ whose coefficient is that matrix or its adjoint.
 
 Every solve is gated on conditioning, measured in the 2-norm of the
 vectorized operator as a dense Kronecker solver would measure it.  The
-operator's own norm is bounded from above, and a solution whose condition
-number, so bounded or estimated, exceeds ``CONDITION_LIMIT`` is refused.
-When both factors of the triangular pair are Hurwitz, Gramians bound the
-norm of the inverse from above (after Hewer & Kenney, SIAM J. Control
+operator's norm and the norm of its inverse are bounded from above, and a
+solution whose condition number so bounded exceeds ``CONDITION_LIMIT`` is
+refused.  No estimate enters, so every acceptance is certified.  Two bounds
+on the inverse fail in opposite cases.  When both factors of the triangular
+pair are Hurwitz, Gramians bound it (after Hewer & Kenney, SIAM J. Control
 Optim. 1988):
 
     |L^{-1}|_2 <= sqrt(|P_a|_2 |P_b|_2)  for L(x) = a x + x b,
@@ -35,20 +36,27 @@ the left and (T + s)* on the right gives 2 (T P T* - P) = -(T + s)(T + s)*,
 and (T + s)^{-1} commutes with T.  So either equation pays one ``ztrsyl``
 call per coefficient, on the triangular factor its solve uses.
 
+The Gramian bound grows like 1/|Re lambda| when each coefficient has an
+eigenvalue near the axis (the circle, for Stein), even at unrelated
+frequencies.  The comparison bound holds for every pair (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed. 2002, sec. 8.2) and grows instead
+with the off-diagonal mass of the Schur factors.  Ordered by column, and
+within a column from the last row up, the unknowns make y -> T_a y + y T_b
+and y -> y - T_a y T_b triangular matrices L = D - E, D diagonal, whose
+comparison matrix M = |D| - |E| has diagonal |t_a,ii + t_b,jj| or
+|1 - t_a,ii t_b,jj|.  As D^{-1} E is nilpotent, L^{-1} = sum_k (D^{-1} E)^k D^{-1}
+is bounded entrywise by sum_k (|D|^{-1} |E|)^k |D|^{-1} = M^{-1}, so
+|L^{-1}|_2 <= sqrt(|M^{-1}|_1 |M^{-1}|_inf) = sqrt(|M^{-T} e|_inf |M^{-1} e|_inf)
+with e the vector of ones: one real triangular solve per column of the
+unknown each, with nonnegative terms only.  A singular M gives infinity.
+
 Like every tolerance check in whindex whose value is not reported, the gate
 decides with a cheaper upper bound first.  A Gramian is positive
 semidefinite, so its 2-norm is at most its trace.  The gate accepts if the
 operator norm bound times sqrt(tr G_a tr G_b), G = P or Q, is at most half
-the limit.  Otherwise a Sylvester equation applies the 2-norm rule to the
-same two Gramians, with one Hermitian eigenvalue solve each, and that rule
-decides.  A Stein equation, or a pair that is not Hurwitz, goes instead to
-the Hager/Higham estimator of the norm of the inverse, a lower estimate,
-driven by ``ztrsyl`` and its conjugate-transposed form as LAPACK ``ztrsna``
-does when it estimates ``sep``, followed by one power step.  The Stein
-Gramian only screens: its 2-norm rule would refuse well-conditioned
-equations whose coefficients each have an eigenvalue near the unit circle
-at unrelated angles, which the estimator accepts.  A screened acceptance is
-the estimator's decision too, as the estimate is at most |S^{-1}|_2.
+the limit.  Otherwise one rule decides both equations: the smaller of the
+comparison bound and, where ztrsyl solved both Gramians without perturbing a
+pivot, their 2-norm bound.
 
 SciPy's LAPACK wrappers (``core._lapack``) are loaded by the first
 factorization or SVD rather than with the package, and without the
@@ -75,9 +83,6 @@ CONDITION_LIMIT = 1e12
 
 #: Default clustering tolerance for counting unit eigenvalues.
 CLUSTER_TOL = 1e-7
-
-#: Iteration cap of the Hager/Higham norm estimator (ITMAX of LAPACK zlacn2).
-_ESTIMATOR_ITERATIONS = 5
 
 #: Cayley parameters tried for the discrete equation, the first one preferred on ties.
 _CAYLEY_SHIFTS = np.exp(0.25j * np.pi * np.arange(8))
@@ -122,10 +127,6 @@ class SchurForm:
         """The represented triangular factor, t or t*."""
         return self.t.conj().T if self.adjoint else self.t
 
-    def shifted(self, s: complex) -> np.ndarray:
-        """Upper triangular r with op(r) = op(t) + s I."""
-        return self.t + (np.conj(s) if self.adjoint else s) * np.eye(len(self.t))
-
 
 def _square(a, name: str) -> np.ndarray:
     """``a`` as a complex square matrix, refused if it has a NaN or infinite entry."""
@@ -146,10 +147,6 @@ def schur_form(a: np.ndarray) -> SchurForm:
     if info != 0:
         raise EvaluationError(f"Schur factorization failed to converge (zgees info {info})")
     return SchurForm(a, t, u)
-
-
-def _dense(m) -> np.ndarray:
-    return m.matrix if isinstance(m, SchurForm) else m
 
 
 def _factored(m: np.ndarray | SchurForm) -> SchurForm:
@@ -177,17 +174,9 @@ def _equation_inputs(a, b, c) -> tuple:
     return a, b, c
 
 
-def _trans(f: SchurForm, adjoint: bool) -> str:
-    """LAPACK ``trans`` flag applying op(t), or its adjoint when ``adjoint`` is set."""
-    return "C" if f.adjoint != adjoint else "N"
-
-
-def _trsyl(fa: SchurForm, ta: np.ndarray, fb: SchurForm, tb: np.ndarray, rhs, adjoint):
-    """Solve op(ta) y + y op(tb) = rhs, or its adjoint equation, with ztrsyl."""
-    y, scale, _ = _lapack().ztrsyl(
-        ta, tb, rhs, trana=_trans(fa, adjoint), tranb=_trans(fb, adjoint)
-    )
-    return y if scale == 1.0 else y / scale
+def _trans(f: SchurForm) -> str:
+    """LAPACK ``trans`` flag applying op(t)."""
+    return "C" if f.adjoint else "N"
 
 
 def _gramian(f: SchurForm, t=None, inverse=None) -> tuple[np.ndarray | None, float]:
@@ -200,9 +189,7 @@ def _gramian(f: SchurForm, t=None, inverse=None) -> tuple[np.ndarray | None, flo
     ztrsyl perturbed a near-singular pivot, as P is then no semidefinite Gramian.
     """
     t = f.t if t is None else t
-    p, scale, info = _lapack().ztrsyl(
-        t, t, -np.eye(len(f)), trana=_trans(f, False), tranb=_trans(f, True)
-    )
+    p, scale, info = _lapack().ztrsyl(t, t, -np.eye(len(f)), trana=_trans(f), tranb=_trans(f.H))
     if not np.isfinite(p).all():
         return None, np.inf
     p = p if scale == 1.0 else p / scale
@@ -223,57 +210,59 @@ def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
 
 def _shift_inverse(f: SchurForm, s: complex) -> tuple[np.ndarray, np.ndarray]:
     """Cayley factor c with op(c) = (op(t) + s)^{-1}(op(t) - s), and (op(t) + s)^{-1} itself."""
-    inverse, info = _lapack().ztrtri(f.shifted(s))
+    shift = (np.conj(s) if f.adjoint else s) * np.eye(len(f))
+    inverse, info = _lapack().ztrtri(f.t + shift)
     if info != 0:
         raise UnsolvableEquationError("shifted Schur factor is exactly singular", 0.0)
-    cayley = inverse @ f.shifted(-s)
+    cayley = inverse @ (f.t - shift)
     return cayley, (inverse.conj().T if f.adjoint else inverse)
 
 
-def _inverse_norm_estimate(solve, shape: tuple[int, int]) -> float:
-    """Lower estimate of the 2-norm of the linear map ``solve``.
+def _upper(f: SchurForm) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal magnitudes of op(t), reversed for an adjoint to be upper triangular."""
+    d, m = np.diag(f.op()), np.abs(np.triu(f.t, 1))
+    return (d[::-1], m.T[::-1, ::-1]) if f.adjoint else (d, m)
 
-    ``solve(r)`` applies the map and ``solve(r, True)`` its adjoint.  The
-    Hager/Higham 1-norm estimator (Hager 1984, Higham 1988; LAPACK zlacn2)
-    picks the input the map stretches most; one power step on its last
-    adjoint image then turns that into a 2-norm estimate, which is nearly
-    exact when the map is close to singular.  Every candidate is a ratio
-    attained by an actual vector, so the estimate never exceeds the norm.
-    """
-    size = shape[0] * shape[1]
-    y = solve(np.full(shape, 1.0 / size, dtype=complex))
-    est = float(np.abs(y).sum())
-    if size == 1:
-        return est
-    z = solve(np.exp(1j * np.angle(y)), True)
-    j = int(np.argmax(np.abs(z)))
-    for _ in range(1, _ESTIMATOR_ITERATIONS):
-        unit = np.zeros(shape, dtype=complex)
-        unit.flat[j] = 1.0
-        y = solve(unit)
-        previous, est = est, max(est, float(np.abs(y).sum()))
-        if est <= previous:
-            break
-        z = solve(np.exp(1j * np.angle(y)), True)
-        j_last, j = j, int(np.argmax(np.abs(z)))
-        if abs(z.flat[j_last]) == abs(z.flat[j]):
-            break
-    alternating = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-    y = solve(alternating.reshape(shape, order="F").astype(complex))
-    est = max(est, 2.0 * float(np.abs(y).sum()) / (3.0 * size))
-    return max(est / np.sqrt(size), float(np.linalg.norm(solve(z)) / np.linalg.norm(z)))
+
+def _comparison_sweep(da, ma, db, mb, stein: bool) -> float:
+    """Largest entry of M^{-1} e, M the comparison matrix of y -> A y + y B (with
+    ``stein`` y -> y - A y B) for the ``_upper`` pairs (da, ma) of A and (db, mb)
+    of B; inf where M is singular or the entries overflow.  Column j of M z = e
+    is an upper triangular system whose right-hand side gathers the columns before it."""
+    z, full_a = np.zeros((len(da), len(db))), ma + np.diag(np.abs(da))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(db)):
+            earlier = z[:, :j] @ mb[:j, j]
+            if stein:
+                system = np.diag(np.abs(1.0 - da * db[j])) - abs(db[j]) * ma
+                earlier = full_a @ earlier
+            else:
+                system = np.diag(np.abs(da + db[j])) - ma
+            column, info = _lapack().dtrtrs(system, (1.0 + earlier)[:, None])
+            if info != 0 or not np.isfinite(column).all():
+                return np.inf
+            z[:, j] = column[:, 0]
+    return float(z.max())
+
+
+def _comparison_bound(fa: SchurForm, fb: SchurForm, stein: bool) -> float:
+    """Comparison bound sqrt(|M^{-1} e|_inf |M^{-T} e|_inf) on |L^{-1}|_2 for the
+    operator L of ``_operator`` on the Schur factors themselves.  Transposing
+    the unknown turns M^T into the comparison matrix of L with swapped factors."""
+    a, b = _upper(fa), _upper(fb)
+    return float(np.sqrt(_comparison_sweep(*a, *b, stein) * _comparison_sweep(*b, *a, stein)))
 
 
 def _operator(fa: SchurForm, fb: SchurForm, stein: bool = False):
-    """2-norm bound of the operator L, a solver for L and its adjoint, and a
-    Gramian bound on the 2-norm of L's inverse, or None where it is estimated.
+    """2-norm bound of the operator L, a solver for L, and a certified upper
+    bound on the 2-norm of L's inverse.
 
     L is y -> op(ta) y + y op(tb) in the Schur bases of fa and fb, or with
     ``stein`` y -> y - op(ta) y op(tb), solved on the Cayley factors of ta and
     tb for the eighth root of unity s whose negative lies farthest from both
-    spectra.  Where both factors of the triangular pair are Hurwitz the bound
-    is sqrt(tr G_a tr G_b) if ``_screen`` accepts with it, and otherwise
-    sqrt(|P_a|_2 |P_b|_2) for Sylvester and None for Stein.
+    spectra.  The bound is sqrt(tr G_a tr G_b) if both factors of the triangular
+    pair are Hurwitz and ``_screen`` accepts with it, and otherwise the smaller
+    of the comparison bound and, where both traces are finite, sqrt(|G_a| |G_b|).
     """
     if stein:
         s = _cayley_shift(fa, fb)
@@ -283,46 +272,43 @@ def _operator(fa: SchurForm, fb: SchurForm, stein: bool = False):
         ta, ia, tb, ib = fa.t, None, fb.t, None
         norm = fa.norm_bound + fb.norm_bound
 
-    def solve(rhs, adjoint=False):
-        if ia is None:
-            return _trsyl(fa, ta, fb, tb, rhs, adjoint)
-        if adjoint:
-            return -2.0 * (ia.conj().T @ _trsyl(fa, ta, fb, tb, rhs, True) @ ib.conj().T)
-        return _trsyl(fa, ta, fb, tb, -2.0 * (ia @ rhs @ ib), False)
+    def solve(rhs):
+        if ia is not None:
+            rhs = -2.0 * (ia @ rhs @ ib)
+        y, scale, _ = _lapack().ztrsyl(ta, tb, rhs, trana=_trans(fa), tranb=_trans(fb))
+        return y if scale == 1.0 else y / scale
 
-    if max(np.diag(ta).real.max(), np.diag(tb).real.max()) >= 0.0:
-        return norm, solve, None
-    (pa, trace_a), (pb, trace_b) = _gramian(fa, ta, ia), _gramian(fb, tb, ib)
-    bound = float(np.sqrt(trace_a * trace_b))
-    if _screen(norm * bound, CONDITION_LIMIT):
-        return norm, solve, bound
-    if stein:
-        return norm, solve, None
-    norms = [np.inf if p is None else np.abs(np.linalg.eigvalsh(p)).max() for p in (pa, pb)]
-    return norm, solve, float(np.sqrt(norms[0] * norms[1]))
+    bound = np.inf
+    if max(np.diag(ta).real.max(), np.diag(tb).real.max()) < 0.0:
+        (pa, trace_a), (pb, trace_b) = _gramian(fa, ta, ia), _gramian(fb, tb, ib)
+        bound = float(np.sqrt(trace_a * trace_b))
+        if _screen(norm * bound, CONDITION_LIMIT):
+            return norm, solve, bound
+        if max(trace_a, trace_b) < np.inf:
+            norms = [np.abs(np.linalg.eigvalsh(p)).max() for p in (pa, pb)]
+            bound = float(np.sqrt(norms[0] * norms[1]))
+    return norm, solve, min(bound, _comparison_bound(fa, fb, stein))
 
 
 def _solve(a, b, c, stein: bool) -> EquationSolution:
     """Solve ``a x + x b + c = 0``, or with ``stein`` ``x = a x b + c``, refused
-    when the operator's norm bound times the Gramian bound or the estimate of
-    the norm of its inverse exceeds ``CONDITION_LIMIT``.  Only the zero
-    operator has a zero norm bound; it is refused without estimating."""
+    unless the operator's norm bound times the certified bound on the norm of
+    its inverse is at most ``CONDITION_LIMIT``."""
     a, b, c = _equation_inputs(a, b, c)
     if c.size == 0:
         return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
     fa, fb = _factored(a), _factored(b)
     norm, solve, inverse_norm = _operator(fa, fb, stein)
-    if inverse_norm is None:
-        inverse_norm = _inverse_norm_estimate(solve, c.shape) if norm > 0.0 else np.inf
-    if not np.isfinite(inverse_norm) or norm * inverse_norm > CONDITION_LIMIT:
+    # A zero operator has norm 0 and an infinite bound, whose NaN product is refused too.
+    if not norm * inverse_norm <= CONDITION_LIMIT:
         smallest = 1.0 / inverse_norm
         raise UnsolvableEquationError(
             f"equation is numerically singular "
-            f"(estimated smallest singular value {smallest:.3e})",
+            f"(certified lower bound {smallest:.3e} on its smallest singular value)",
             smallest_singular_value=smallest,
         )
     x = fa.u @ solve(fa.u.conj().T @ (c if stein else -c) @ fb.u) @ fb.u.conj().T
-    a, b = _dense(a), _dense(b)
+    a, b = fa.matrix, fb.matrix
     return EquationSolution(x, opnorm(x - a @ x @ b - c if stein else a @ x + x @ b + c))
 
 

@@ -21,8 +21,8 @@ class EvaluationError(ArithmeticError):
 class UnsolvableEquationError(ArithmeticError):
     """Matrix equation is singular or numerically too ill conditioned.
 
-    Carries the smallest singular value of the vectorized system so the
-    caller can see how far from solvable the instance was.
+    Carries a certified lower bound on the smallest singular value of the
+    vectorized system: the equation is at least that far from singular.
     """
 
     def __init__(self, message: str, smallest_singular_value: float):

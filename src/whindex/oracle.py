@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import hermitize
-from .errors import ResolutionError, StructureError
+from .errors import EvaluationError, ResolutionError, StructureError
 from .realizations import (
     BlaschkeSpec,
     Polynomial,
@@ -76,7 +76,11 @@ def roots_stable(p: Polynomial) -> bool:
     """True when all companion-matrix roots lie strictly in the left half plane."""
     if p.degree < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
-    roots = np.roots(np.asarray(p.coeffs[::-1], dtype=complex))
+    coeffs = np.asarray(p.coeffs[::-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # as np.roots divides by coeffs[0]
+        if not np.isfinite(coeffs / coeffs[0]).all():
+            raise EvaluationError("the root test overflows: the companion matrix has a non-finite entry")
+    roots = np.roots(coeffs)
     return bool(np.all(roots.real < ROOT_STABILITY_MARGIN))
 
 
@@ -91,11 +95,12 @@ def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:
     n = p.degree
     if n < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
-    a = zeta_power_realization(n).a
-    minus_a = -a
+    minus_a = -zeta_power_realization(n).a
     pm = poly_of_matrix(p, minus_a)
     psm = poly_of_matrix(p_sharp(p), minus_a)
     g = hermitize(pm.conj().T @ pm - psm.conj().T @ psm)
+    if not np.isfinite(g).all():
+        raise EvaluationError("the Schur-Cohen quadratic form overflows to a non-finite value")
     evals = np.linalg.eigvalsh(g)
     lambda_min = float(evals[0])
     threshold = PSD_REL_TOL * float(np.max(np.abs(evals))) if evals.size else 0.0

@@ -197,16 +197,24 @@ def _multiplicity_rank(rng, cases):
 
 
 def _defect_rank_law(rng, cases):
+    """rank(I - m*m) = min(deg p, n) for m = psharp(-a) p(-a)^{-1}, a rank-one dissipative of size n.
+
+    A defect eigenvalue 1 - sigma^2 counts as zero below 30 n eps kappa_2(p(-a)),
+    the error of the computed m.  Over seeds DEFAULT_SEED + 0..139 the exact zeros
+    reach 1.25 n eps kappa and the others stay above 695 n eps kappa.
+    """
     for k in range(cases):
         n = int(rng.integers(1, 7))
         a, _ = random_rank_one_dissipative(rng, n)
         degree = int(rng.integers(0, 9))
         spec = random_blaschke_spec(rng, degree)
-        value = blaschke_of_minus_A(Polynomial.from_roots(spec.poles), a)
+        p = Polynomial.from_roots(spec.poles)
+        value = blaschke_of_minus_A(p, a)
         norm = opnorm(value)
         if norm > 1.0 + 1e-10:
             return {"case": k, "what": "contraction", "norm": norm, "degree": degree, "dim": n}
-        rank = defect_rank(value, 1e-7)
+        cut = 30.0 * n * np.finfo(float).eps * np.linalg.cond(poly_of_matrix(p, -a))
+        rank = defect_rank(value, cut)
         if rank != min(degree, n):
             return {
                 "case": k,

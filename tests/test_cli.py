@@ -348,6 +348,18 @@ def test_stability_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ("1 1e-320", "the root test overflows: the companion matrix has a non-finite entry"),
+        ("1e200 1e200", "the Schur-Cohen quadratic form overflows to a non-finite value"),
+        ("1e308 1e308", "the Schur-Cohen quadratic form overflows to a non-finite value"),
+    ],
+)
+def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):
+    assert run(capsys, "stability", coefficients) == (3, "", f"computation failed: {message}\n")
+
+
 def test_stability_disagreement_exit_code(capsys, monkeypatch):
     import whindex.cli as cli_module
 

@@ -68,7 +68,7 @@ def gate_side_by_side(seed, cases_per_gap):
     """Refusal counts of the Kronecker gate and the Schur gate over a resonance sweep.
 
     Returns ``{(kind, refused_by_kronecker, refused_by_schur): count}`` and
-    the refused cases' smallest_singular_value estimates.
+    the refused cases' values of smallest_singular_value.
     """
     rng = np.random.default_rng(seed)
     counts, smallest = {}, []
@@ -241,30 +241,39 @@ def test_gramian_bound_is_at_least_the_exact_inverse_norm():
             assert bound >= exact * (1.0 - 1e-6)
 
 
-def test_gramian_gate_refuses_every_case_the_kronecker_or_estimator_gate_refuses():
+def _smallest_singular_value(system):
+    """Smallest singular value of a Kronecker system, raised by 16 eps |K|_2 so
+    that it stays above the exact one despite the absolute error of the SVD."""
+    s = np.linalg.svd(system, compute_uv=False)
+    return s[-1] + 16.0 * np.finfo(float).eps * s[0]
+
+
+def _gates(a, b, c, stein=False):
+    """(refused by the Kronecker gate, refused by the Schur gate) for one
+    equation.  A Schur refusal carries a certified lower bound on the smallest
+    singular value, so it is checked to be at most the exact one."""
+    try:
+        (kron.solve_stein if stein else kron.solve_sylvester)(a, b, c)
+        kronecker = False
+    except kron.Refused:
+        kronecker = True
+    try:
+        (solve_stein if stein else solve_sylvester)(a, b, c)
+        return kronecker, False
+    except UnsolvableEquationError as exc:
+        system = (kron.stein_system if stein else kron.sylvester_system)(a, b)
+        assert exc.smallest_singular_value <= _smallest_singular_value(system) * (1.0 + 1e-6)
+        return kronecker, True
+
+
+def test_hurwitz_gate_refuses_every_case_the_kronecker_gate_refuses():
     rng = np.random.default_rng(15)
     counts = {}
     for gap in HURWITZ_GAPS:
         for _ in range(12):
             a, b = _hurwitz_resonant_pair(rng, gap)
             c = _complex_normal(rng, (len(a), len(b)))
-            try:
-                kron.solve_sylvester(a, b, c)
-                kronecker = False
-            except kron.Refused:
-                kronecker = True
-            norm, solve, bound = equations._operator(schur_form(a), schur_form(b))
-            estimator = norm * equations._inverse_norm_estimate(solve, c.shape) > CONDITION_LIMIT
-            try:
-                solve_sylvester(a, b, c)
-                gramian = False
-            except UnsolvableEquationError as exc:
-                gramian = True
-                # At the smallest gaps rounding can put a Schur diagonal entry
-                # on the axis; such a case is gated by the estimator instead.
-                if bound is not None:
-                    assert exc.smallest_singular_value == 1.0 / bound
-            key = (kronecker or estimator, gramian)
+            key = _gates(a, b, c)
             counts[key] = counts.get(key, 0) + 1
     assert counts.get((True, False), 0) == 0
     # The sweep straddles the limit: the gates accept some cases and refuse others.
@@ -376,24 +385,62 @@ def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
     assert counter.calls == 3
 
 
-def test_gramian_gate_refuses_a_well_conditioned_equation_near_the_axis():
-    # Documented conservative refusal: each coefficient has an eigenvalue
-    # 1e-12 from the axis, at frequencies 5 and 0, so sqrt(|P_a| |P_b|) grows
-    # like 1/1e-12 while the operator stays far from singular.
+def test_gate_accepts_a_well_conditioned_equation_near_the_axis():
+    # Each coefficient has an eigenvalue 1e-12 from the axis, at frequencies 5
+    # and 0, so sqrt(|P_a| |P_b|) grows like 1/1e-12 while the operator stays
+    # far from singular; the comparison bound sees that.
     a = np.diag([-1e-12 + 5j, -1.0])
     b = np.diag([-1e-12, -2.0])
     singular_values = np.linalg.svd(kron.sylvester_system(a, b), compute_uv=False)
     assert singular_values[0] / singular_values[-1] < 5.4
-    with pytest.raises(UnsolvableEquationError) as info:
-        solve_sylvester(a, b, np.ones((2, 2)))
-    assert info.value.smallest_singular_value == pytest.approx(2e-12, rel=1e-6)
+    assert solve_sylvester(a, b, np.ones((2, 2))).residual <= SOLVE_TOL
 
 
-def test_profiles_of_both_flavors_never_estimate(monkeypatch):
-    def refuse_to_estimate(*args):
-        raise AssertionError("the estimator ran")
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # Each coefficient near the axis at a different frequency: the Gramian bound is 5e11.
+        (np.diag([-1e-12 + 5j, -1.0]), np.diag([-1e-12, -2.0])),
+        # 2 Re t = -2e-300 perturbs ztrsyl's pivot, so P_a is no Gramian and bounds nothing.
+        (np.diag([-1e-300, -1.0]), np.diag([-1.0, -2.0])),
+    ],
+)
+def test_comparison_bound_decides_where_the_gramian_bound_cannot(a, b):
+    exact = 1.0 / np.linalg.svd(kron.sylvester_system(a, b), compute_uv=False)[-1]
+    bound = equations._operator(schur_form(a), schur_form(b))[2]
+    assert bound == equations._comparison_bound(schur_form(a), schur_form(b), False)
+    assert bound >= exact
+    assert solve_sylvester(a, b, np.ones((2, 2))).residual <= SOLVE_TOL
 
-    monkeypatch.setattr(equations, "_inverse_norm_estimate", refuse_to_estimate)
+
+def test_comparison_bound_is_at_least_the_exact_inverse_norm():
+    # Two cases per gap from each generator of the gate sweeps, in three orientations.
+    rng = np.random.default_rng(23)
+    cases = []
+    for gap in GAPS:
+        for kind in ("sylvester", "stein"):
+            for _ in range(2):
+                cases.append((kind == "stein",) + _resonant_case(rng, kind, gap)[:2])
+    for gap in HURWITZ_GAPS:
+        for _ in range(2):
+            cases.append((False,) + _hurwitz_resonant_pair(rng, gap))
+    for gap in CIRCLE_GAPS:
+        for kind in ("resonant", "split"):
+            for _ in range(2):
+                cases.append((True,) + _schur_stable_pair(rng, gap, kind))
+    for stein, a, b in cases:
+        fa, fb = schur_form(a), schur_form(b)
+        for xa, xb in ((fa, fb), (fa, fb.H), (fa.H, fb)):
+            system = (kron.stein_system if stein else kron.sylvester_system)(xa.matrix, xb.matrix)
+            bound = equations._comparison_bound(xa, xb, stein)
+            assert bound * _smallest_singular_value(system) >= 1.0 - 1e-6
+
+
+def test_profiles_of_both_flavors_never_leave_the_trace_screen(monkeypatch):
+    def refuse_to_compare(*args):
+        raise AssertionError("the comparison bound ran")
+
+    monkeypatch.setattr(equations, "_comparison_bound", refuse_to_compare)
     rng = np.random.default_rng(19)
     pairs = list(_profile_pairs()) + [
         SymbolPair(
@@ -464,25 +511,21 @@ def test_stein_gramian_bound_is_at_least_the_exact_inverse_norm():
 
 
 @pytest.mark.parametrize("kind", ["resonant", "split"])
-def test_stein_gate_decides_as_the_estimator_rule_near_the_circle(kind):
+def test_stein_gate_refuses_what_kronecker_refuses_near_the_circle(kind):
     rng = np.random.default_rng(21 if kind == "resonant" else 22)
     counts = {}
     for gap in CIRCLE_GAPS:
         for _ in range(20):
             a, b = _schur_stable_pair(rng, gap, kind)
-            c = _complex_normal(rng, (len(a), len(b)))
-            norm, solve, _ = equations._operator(schur_form(a), schur_form(b), stein=True)
-            estimate = equations._inverse_norm_estimate(solve, c.shape)
-            refused = not np.isfinite(estimate) or norm * estimate > CONDITION_LIMIT
-            try:
-                solve_stein(a, b, c)
-                gate = None
-            except UnsolvableEquationError as exc:
-                gate = exc.smallest_singular_value
-            assert (gate is not None) == refused
-            if refused:
-                assert gate == 1.0 / estimate
-            counts[refused] = counts.get(refused, 0) + 1
-    # Resonant cases straddle the limit; split ones are well conditioned throughout.
-    assert counts.get(False, 0) > 0
-    assert (counts.get(True, 0) > 0) == (kind == "resonant")
+            key = _gates(a, b, _complex_normal(rng, (len(a), len(b))), stein=True)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts.get((True, False), 0) == 0
+    assert counts.get((False, False), 0) > 0
+    if kind == "resonant":
+        # Resonant cases straddle the limit.
+        assert counts.get((True, True), 0) > 0
+    else:
+        # Split ones are well conditioned throughout, and the certified
+        # bounds refuse a few of them: 2 of these 220.
+        assert counts.get((True, True), 0) == 0
+        assert counts.get((False, True), 0) <= 5
