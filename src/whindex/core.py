@@ -129,6 +129,12 @@ def _finite(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+def _minus_identity(x: np.ndarray) -> np.ndarray:
+    """x - I, bit for bit, in place in a square C-contiguous x such as a fresh product."""
+    x.ravel()[:: len(x) + 1] -= 1.0  # ravel is a view of a contiguous x
+    return x
+
+
 def _freeze(x, name: str) -> np.ndarray:
     out = _finite(np.array(x, dtype=complex, ndmin=2), name)
     out.setflags(write=False)
@@ -177,13 +183,9 @@ class Realization:
             raise StructureError(f"b must be {n}x{m}, got shape {b.shape}")
         if c.shape != (m, n):
             raise StructureError(f"c must be {m}x{n}, got shape {c.shape}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, x in zip("abcd", (a, b, c, d)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def state_dim(self) -> int:
@@ -275,10 +277,10 @@ def _balance_defects(r: Realization) -> tuple[np.ndarray, ...]:
     """The matrices whose 2-norms are the validation residuals of ``r``:
     a + a* + c*c, d*d - I and b + c*d if continuous, S*S - I if discrete."""
     if r.flavor == DISCRETE:
-        s = np.block([[r.a, r.b], [r.c, r.d]])
-        return (s.conj().T @ s - np.eye(len(s)),)
+        s = np.concatenate([np.concatenate([r.a, r.b], axis=1), np.concatenate([r.c, r.d], axis=1)])
+        return (_minus_identity(s.conj().T @ s),)
     ch = r.c.conj().T
-    return r.a + r.a.conj().T + ch @ r.c, r.d.conj().T @ r.d - np.eye(r.output_dim), r.b + ch @ r.d
+    return r.a + r.a.conj().T + ch @ r.c, _minus_identity(r.d.conj().T @ r.d), r.b + ch @ r.d
 
 
 def validate_stable_dissipative(r: Realization, tol: float = VALIDATION_TOL) -> ValidationReport:
@@ -340,7 +342,7 @@ def _screened_report(r: Realization, eigenvalues: np.ndarray) -> Optional[Valida
     The screened norm is the Frobenius norm of all defects together, which
     bounds each of them and is NaN or infinite if any entry is.
     """
-    frobenius = math.sqrt(sum(np.vdot(x, x).real for x in _balance_defects(r)))
+    frobenius = math.sqrt(sum([np.vdot(x, x).real for x in _balance_defects(r)]))
     if _stability(r, eigenvalues)[0] and _screen(frobenius, VALIDATION_TOL):
         return None
     return _validation_report(r, eigenvalues)
@@ -419,7 +421,7 @@ def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDAT
     m = r.output_dim
     if u.shape != (m, m):
         raise StructureError(f"twist matrix must be {m}x{m}, got {u.shape}")
-    defect = u.conj().T @ u - np.eye(m)
+    defect = _minus_identity(u.conj().T @ u)
     if not _screen(_frobenius(defect), tol) and opnorm(defect) > tol:
         raise StructureError("twist matrix is not unitary within tolerance")
     if side == "left":

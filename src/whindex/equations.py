@@ -67,7 +67,7 @@ them, call ``zgesdd`` from the same wrappers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class SchurForm:
     @property
     def H(self) -> "SchurForm":
         """The same factorization standing for the adjoint matrix."""
-        return replace(self, adjoint=not self.adjoint)
+        return SchurForm(self.a, self.t, self.u, not self.adjoint)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -121,7 +121,7 @@ class SchurForm:
     def norm_bound(self) -> float:
         """Upper bound sqrt(|t|_1 |t|_inf) on the 2-norm of t and of t*."""
         mag = np.abs(self.t)
-        return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+        return float(np.sqrt(np.add.reduce(mag, 0).max() * np.add.reduce(mag, 1).max()))
 
     def op(self) -> np.ndarray:
         """The represented triangular factor, t or t*."""
@@ -140,8 +140,12 @@ def _square(a, name: str) -> np.ndarray:
 
 def schur_form(a: np.ndarray) -> SchurForm:
     """Complex Schur form of ``a`` (LAPACK zgees, no eigenvalue reordering)."""
-    a = _square(a, "a")
-    if a.shape[0] == 0:
+    return _schur(_square(a, "a"))
+
+
+def _schur(a: np.ndarray) -> SchurForm:
+    """``schur_form`` of a finite complex square ``a``, such as a Realization's, unchecked."""
+    if len(a) == 0:
         return SchurForm(a, a, a)
     t, _, _, u, _, info = _lapack().zgees(lambda _: 0, a)
     if info != 0:
@@ -164,7 +168,7 @@ class EquationSolution:
 def _equation_inputs(a, b, c) -> tuple:
     """a and b checked square and finite unless they come as SchurForms, and c checked
     finite and against them."""
-    a, b = (m if isinstance(m, SchurForm) else _square(m, name) for m, name in ((a, "a"), (b, "b")))
+    a, b = [m if isinstance(m, SchurForm) else _square(m, name) for m, name in ((a, "a"), (b, "b"))]
     c = _finite(np.atleast_2d(np.asarray(c, dtype=complex)), "c")
     p, q = len(a), len(b)
     if c.size == 0 and (p == 0 or q == 0):
@@ -172,11 +176,6 @@ def _equation_inputs(a, b, c) -> tuple:
     if c.shape != (p, q):
         raise StructureError(f"c must be {p}x{q}, got {c.shape}")
     return a, b, c
-
-
-def _trans(f: SchurForm) -> str:
-    """LAPACK ``trans`` flag applying op(t)."""
-    return "C" if f.adjoint else "N"
 
 
 def _gramian(f: SchurForm, t=None, inverse=None) -> tuple[np.ndarray | None, float]:
@@ -189,18 +188,18 @@ def _gramian(f: SchurForm, t=None, inverse=None) -> tuple[np.ndarray | None, flo
     ztrsyl perturbed a near-singular pivot, as P is then no semidefinite Gramian.
     """
     t = f.t if t is None else t
-    p, scale, info = _lapack().ztrsyl(t, t, -np.eye(len(f)), trana=_trans(f), tranb=_trans(f.H))
-    if not np.isfinite(p).all():
+    p, scale, info = _lapack().ztrsyl(t, t, -np.eye(len(f)), trana="NC"[f.adjoint], tranb="CN"[f.adjoint])
+    if np.count_nonzero(np.isfinite(p)) < p.size:
         return None, np.inf
     p = p if scale == 1.0 else p / scale
     if inverse is not None:
         p = 2.0 * (inverse @ p @ inverse.conj().T)
-    return p, np.inf if info else float(np.trace(p).real)
+    return p, np.inf if info else float(p.trace().real)
 
 
 def _cayley_shift(fa: SchurForm, fb: SchurForm) -> complex:
     """Unit-modulus s keeping -s off spec(op(ta)) and -conj(s) off spec(op(tb))."""
-    ea, eb = np.diag(fa.op()), np.diag(fb.op())
+    ea, eb = fa.op().diagonal(), fb.op().diagonal()
     gaps = np.minimum(
         np.abs(ea[None, :] + _CAYLEY_SHIFTS[:, None]).min(axis=1),
         np.abs(eb[None, :] + _CAYLEY_SHIFTS.conj()[:, None]).min(axis=1),
@@ -220,7 +219,7 @@ def _shift_inverse(f: SchurForm, s: complex) -> tuple[np.ndarray, np.ndarray]:
 
 def _upper(f: SchurForm) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal magnitudes of op(t), reversed for an adjoint to be upper triangular."""
-    d, m = np.diag(f.op()), np.abs(np.triu(f.t, 1))
+    d, m = f.op().diagonal(), np.abs(np.triu(f.t, 1))
     return (d[::-1], m.T[::-1, ::-1]) if f.adjoint else (d, m)
 
 
@@ -275,11 +274,11 @@ def _operator(fa: SchurForm, fb: SchurForm, stein: bool = False):
     def solve(rhs):
         if ia is not None:
             rhs = -2.0 * (ia @ rhs @ ib)
-        y, scale, _ = _lapack().ztrsyl(ta, tb, rhs, trana=_trans(fa), tranb=_trans(fb))
+        y, scale, _ = _lapack().ztrsyl(ta, tb, rhs, trana="NC"[fa.adjoint], tranb="NC"[fb.adjoint])
         return y if scale == 1.0 else y / scale
 
     bound = np.inf
-    if max(np.diag(ta).real.max(), np.diag(tb).real.max()) < 0.0:
+    if max(ta.diagonal().real.max(), tb.diagonal().real.max()) < 0.0:
         (pa, trace_a), (pb, trace_b) = _gramian(fa, ta, ia), _gramian(fb, tb, ib)
         bound = float(np.sqrt(trace_a * trace_b))
         if _screen(norm * bound, CONDITION_LIMIT):
@@ -343,15 +342,16 @@ def zeta_of_minus(a: np.ndarray) -> np.ndarray:
     disk.
     """
     f = _factored(a)
-    if len(f) == 0:
+    if len(f.t) == 0:
         return np.zeros((0, 0), dtype=complex)
-    eye = np.eye(len(f))
+    lapack, eye = _lapack(), np.eye(len(f.t), dtype=complex)
+    shifted = eye - f.t
     # sqrt(kappa_1 kappa_inf) bounds the 2-norm condition number of I - a from above.
-    rcond = np.sqrt(np.prod([_lapack().ztrcon(eye - f.t, norm=norm)[0] for norm in "1I"]))
+    rcond = np.sqrt(lapack.ztrcon(shifted, norm="1")[0] * lapack.ztrcon(shifted, norm="I")[0])
     if rcond * CONDITION_LIMIT < 1.0:
         raise EvaluationError("an eigenvalue of a is too close to 1; the map has a pole there")
     # (I - t) and (I + t) commute, so this equals u (I + t)(I - t)^{-1} u*.
-    y, _ = _lapack().ztrtrs(eye - f.t, eye + f.op(), trans=2 if f.adjoint else 0)
+    y, _ = lapack.ztrtrs(shifted, eye + f.op(), trans=2 if f.adjoint else 0)
     return f.u @ y @ f.u.conj().T
 
 

@@ -61,6 +61,7 @@ from .core import (
     Realization,
     SymbolPair,
     _frobenius,
+    _minus_identity,
     _screen,
     _screened_report,
     _svd,
@@ -69,7 +70,7 @@ from .equations import (
     CLUSTER_TOL,
     EquationSolution,
     SchurForm,
-    schur_form,
+    _schur,
     solve_stein,
     solve_sylvester,
     zeta_of_minus,
@@ -120,10 +121,10 @@ def _validated(pair: SymbolPair, tol: float) -> tuple[SchurForm, SchurForm]:
     The full report is computed only where the screen cannot accept the factor."""
     if not 0.0 < tol < 1.0:  # also false for NaN
         raise StructureError(f"tolerance must be a finite number in (0, 1), got {tol!r}")
-    forms = schur_form(pair.v.a), schur_form(pair.w.a)
+    forms = _schur(pair.v.a), _schur(pair.w.a)
     promise = "stable unitary" if pair.v.flavor == DISCRETE else "stable dissipative"
     for name, r, f in (("v", pair.v, forms[0]), ("w", pair.w, forms[1])):
-        report = _screened_report(r, np.diag(f.t))
+        report = _screened_report(r, f.t.diagonal())
         if report is not None and not report.verdict:
             raise InputValidationError(
                 f"factor {name} is not {promise} "
@@ -157,12 +158,6 @@ def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, n
     return s, u[:, r:], vh[r:].conj().T
 
 
-def _counts_from_mu(mu: list[int]) -> list[int]:
-    if not mu:
-        return []
-    return [sum(1 for m in mu if m >= j) for j in range(1, mu[0] + 1)]
-
-
 def _kernel_dimension_chain(
     basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
 ) -> list[int]:
@@ -183,7 +178,7 @@ def _kernel_dimension_chain(
         m = zeta_of_minus(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
     gram = m.conj().T @ m + rows.conj().T @ rows
-    if not _screen(_frobenius(gram - np.eye(len(gram))), tol):
+    if not _screen(_frobenius(_minus_identity(gram.copy())), tol):
         residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
         if residual > tol:
             raise ContractionViolationError(
@@ -230,9 +225,9 @@ def _side(
         omega=omega.x,
         kernel_dims=tuple(dims),
         residuals={"omega": omega.residual},
-        q_eigenvalues=np.concatenate([1.0 - s * s, np.ones(len(basis) - len(s))]),
+        q_eigenvalues=np.concatenate([1.0 - s * s, [1.0] * (len(basis) - len(s))]),
     )
-    return trace, mu, _counts_from_mu(mu)
+    return trace, mu, [sum(m >= j for m in mu) for j in range(1, mu[0] + 1 if mu else 1)]
 
 
 def negative_profile(
@@ -313,7 +308,7 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
 
     margins = {
         # Distance of the eigenvalues of each contraction to the cut 1 - tol.
-        side: float(np.min(np.abs(trace.q_eigenvalues - (1.0 - tol))))
+        side: float(np.abs(trace.q_eigenvalues - (1.0 - tol)).min())
         if trace.q_eigenvalues.size else None
         for side, trace in (("negative", negative_trace), ("positive", positive_trace))
     }

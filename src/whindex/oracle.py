@@ -101,6 +101,9 @@ def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:
     g = hermitize(pm.conj().T @ pm - psm.conj().T @ psm)
     if not np.isfinite(g).all():
         raise EvaluationError("the Schur-Cohen quadratic form overflows to a non-finite value")
+    # Products below the normal range lose their digits; normal ones that cancel are an answer.
+    if max(np.abs(pm).max(), np.abs(psm).max()) ** 2 < np.finfo(float).tiny:
+        raise EvaluationError("the Schur-Cohen quadratic form underflows below the normal range")
     evals = np.linalg.eigvalsh(g)
     lambda_min = float(evals[0])
     threshold = PSD_REL_TOL * float(np.max(np.abs(evals))) if evals.size else 0.0

@@ -354,10 +354,24 @@ def test_stability_command(capsys):
         ("1 1e-320", "the root test overflows: the companion matrix has a non-finite entry"),
         ("1e200 1e200", "the Schur-Cohen quadratic form overflows to a non-finite value"),
         ("1e308 1e308", "the Schur-Cohen quadratic form overflows to a non-finite value"),
+        ("1e-200 1e-200", "the Schur-Cohen quadratic form underflows below the normal range"),
     ],
 )
 def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):
     assert run(capsys, "stability", coefficients) == (3, "", f"computation failed: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "coefficients, output",
+    [
+        # Terms of G near 1e-300 are still normal numbers.
+        ("1e-150 1e-150", '{"lambda_min":4.0000000000000001e-300,"roots":true,"schur_cohen":true}'),
+        # G cancels to zero from normal terms: a root on the axis, answered.
+        ("0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
+    ],
+)
+def test_stability_answers_a_small_or_cancelling_quadratic_form(capsys, coefficients, output):
+    assert run(capsys, "stability", coefficients) == (0, output + "\n", "")
 
 
 def test_stability_disagreement_exit_code(capsys, monkeypatch):

@@ -224,7 +224,7 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_factorizing(monkeypat
     def no_factorization(a):
         raise AssertionError("factorized before checking tol")
 
-    monkeypatch.setattr(indices, "schur_form", no_factorization)
+    monkeypatch.setattr(indices, "_schur", no_factorization)
     pair = diagonal_symbol_factors([-1, 1])
     for tol in (0.0, -1.0, 1.0, 2.0, np.nan, np.inf, -np.inf):
         for profile in (full_profile, negative_profile, positive_profile):

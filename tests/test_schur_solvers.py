@@ -1,5 +1,6 @@
 """Schur-based solvers checked side by side against the dense Kronecker/SVD oracle."""
 
+import collections
 import importlib.machinery
 
 import numpy as np
@@ -20,7 +21,7 @@ from whindex import (
     zeta_of_minus,
 )
 from whindex.core import opnorm
-from whindex import equations
+from whindex import core, equations
 from whindex.equations import CONDITION_LIMIT, SOLVE_TOL, schur_form
 from whindex.sampling import random_blaschke_spec, random_hurwitz_matrix, random_schur_matrix
 
@@ -313,11 +314,11 @@ def _near_axis_gate(eps):
 def test_gramian_gate_solves_what_the_trace_screen_leaves_to_the_exact_rule(monkeypatch):
     fa, fb, trace, exact = _near_axis_gate(1.5e-12)
     assert trace > CONDITION_LIMIT / 2 >= exact
-    counter = _ZtrsylCounter(equations._lapack())
+    counter = _LapackCounter(equations._lapack())
     monkeypatch.setattr(equations, "_lapack", lambda: counter)
     solution = solve_sylvester(fa, fb, np.ones((5, 1)))
     # One Gramian per coefficient serves the screen and the exact rule, then the solve.
-    assert counter.calls == 3
+    assert counter.calls["ztrsyl"] == 3
     assert solution.residual <= SOLVE_TOL
     assert np.allclose(solution.x[:4], 1.0 / 3e-12)
 
@@ -340,18 +341,20 @@ def test_a_gramian_with_a_perturbed_pivot_screens_nothing():
     assert trace == np.inf
 
 
-class _ZtrsylCounter:
-    """The LAPACK module with ``ztrsyl`` calls counted."""
+class _LapackCounter:
+    """The LAPACK module with the calls of every routine counted by name."""
 
     def __init__(self, lapack):
-        self.lapack, self.calls = lapack, 0
+        self.lapack, self.calls = lapack, collections.Counter()
 
     def __getattr__(self, name):
-        return getattr(self.lapack, name)
+        routine = getattr(self.lapack, name)
 
-    def ztrsyl(self, *args, **kwargs):
-        self.calls += 1
-        return self.lapack.ztrsyl(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
 
 
 def _profile_pairs():
@@ -365,24 +368,51 @@ def _profile_pairs():
 
 
 def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
-    counter = _ZtrsylCounter(equations._lapack())
+    counter = _LapackCounter(equations._lapack())
     monkeypatch.setattr(equations, "_lapack", lambda: counter)
     for pair in _profile_pairs():
-        counter.calls = 0
+        counter.calls.clear()
         full_profile(pair)
         # The coupling solve, and one Gramian each for a_v and a_w*.
-        assert counter.calls == 3
+        assert counter.calls["ztrsyl"] == 3
         # A discrete profile solves one Stein equation, with one Gramian per Cayley factor.
         v, w = c2d(pair.v), c2d(pair.w)
-        counter.calls = 0
+        counter.calls.clear()
         full_profile(SymbolPair(v, w))
-        profile_calls, counter.calls = counter.calls, 0
+        profile_calls = counter.calls["ztrsyl"]
+        counter.calls.clear()
         solve_stein(schur_form(v.a), schur_form(w.a).H, v.b @ w.b.conj().T)
-        assert profile_calls == counter.calls == 3
+        assert profile_calls == counter.calls["ztrsyl"] == 3
     rng = np.random.default_rng(16)
-    counter.calls = 0
+    counter.calls.clear()
     solve_sylvester(random_hurwitz_matrix(rng, 5), random_hurwitz_matrix(rng, 4), np.ones((5, 4)))
-    assert counter.calls == 3
+    assert counter.calls["ztrsyl"] == 3
+
+
+def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
+    """Every LAPACK routine a profile calls, counted at the wrappers of both
+    modules: two Schur forms, the solve with its two Gramians, one SVD for
+    omega, one for its residual norm and one per chain step.  A continuous
+    side whose chain runs evaluates the disk map: two condition estimates and
+    one triangular solve.  A discrete profile inverts two shifted Schur factors
+    for the Cayley factors of its Stein solve instead."""
+    counter = _LapackCounter(core._lapack())
+    monkeypatch.setattr(equations, "_lapack", lambda: counter)
+    monkeypatch.setattr(core, "_lapack", lambda: counter)
+    svds = {False: [], True: []}
+    for pair in _profile_pairs():
+        for discrete in (False, True):
+            flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
+            counter.calls.clear()
+            profile = full_profile(flavored)
+            dims = [profile.negative_trace.kernel_dims, profile.positive_trace.kernel_dims]
+            steps, running = sum(len(d) - 1 for d in dims), sum(d[0] > 0 for d in dims)
+            budget = {"zgees": 2, "ztrsyl": 3, "zgesdd": 2 + steps}
+            budget.update({"ztrtri": 2} if discrete else {"ztrcon": 2 * running, "ztrtrs": running})
+            assert {name: count for name, count in counter.calls.items()
+                    if not name.endswith("_lwork")} == budget
+            svds[discrete].append(budget["zgesdd"])
+    assert svds[False] == svds[True] == [8, 34, 6]
 
 
 def test_gate_accepts_a_well_conditioned_equation_near_the_axis():
@@ -481,7 +511,14 @@ def _stein_gramian(f, s):
     return equations._gramian(f, *equations._shift_inverse(f, s))[0]
 
 
-def test_stein_gramian_bound_is_at_least_the_exact_inverse_norm():
+def test_stein_gramian_bound_is_at_least_the_exact_inverse_norm(monkeypatch):
+    compared = []
+
+    def comparison(*args, _bound=equations._comparison_bound):
+        compared.append(args)
+        return _bound(*args)
+
+    monkeypatch.setattr(equations, "_comparison_bound", comparison)
     rng = np.random.default_rng(20)
     screened = 0
     for gap in [0.5, 1e-1, 1e-2, 1e-3, 1e-4]:
@@ -502,11 +539,12 @@ def test_stein_gramian_bound_is_at_least_the_exact_inverse_norm():
                     exact = 1.0 / np.linalg.svd(system, compute_uv=False)[-1]
                     norms = [np.linalg.eigvalsh(q).max() for q in (qa, qb)]
                     assert np.sqrt(norms[0] * norms[1]) >= exact * (1.0 - 1e-6)
+                    before = len(compared)
                     bound = equations._operator(fa, fb, stein=True)[2]
-                    if bound is not None:
-                        screened += 1
-                        assert bound >= exact * (1.0 - 1e-6)
-    # Most of these equations are well inside the limit, so the screen decides them.
+                    assert bound >= exact * (1.0 - 1e-6)
+                    screened += len(compared) == before
+    # Most of these equations are well inside the limit, so the trace screen
+    # decides them without the comparison bound.
     assert screened > 60
 
 
