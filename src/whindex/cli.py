@@ -207,8 +207,8 @@ def _parse_coefficients(text: str) -> Polynomial:
 
 def cmd_stability(args) -> int:
     p = _parse_coefficients(args.coefficients)
-    by_form, lambda_min = schur_cohen_stable(p)
     by_roots = roots_stable(p)
+    by_form, lambda_min = schur_cohen_stable(p)
     payload = {"schur_cohen": by_form, "roots": by_roots, "lambda_min": lambda_min}
     _emit(canonical_json(payload), args.output)
     if by_form != by_roots:

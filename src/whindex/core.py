@@ -415,15 +415,20 @@ def cascade(outer: Realization, inner: Realization) -> Realization:
     return Realization(a, b, c, d, outer.flavor)
 
 
-def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDATION_TOL) -> Realization:
-    """Multiply the transfer function by a constant unitary: U*Theta (left) or Theta*U (right)."""
+def _check_unitary(u, m: int, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """``u`` as a complex array if it is a finite m x m matrix unitary within ``tol``."""
     u = _finite(np.atleast_2d(np.asarray(u, dtype=complex)), "twist matrix")
-    m = r.output_dim
     if u.shape != (m, m):
         raise StructureError(f"twist matrix must be {m}x{m}, got {u.shape}")
     defect = _minus_identity(u.conj().T @ u)
     if not _screen(_frobenius(defect), tol) and opnorm(defect) > tol:
         raise StructureError("twist matrix is not unitary within tolerance")
+    return u
+
+
+def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDATION_TOL) -> Realization:
+    """Multiply the transfer function by a constant unitary: U*Theta (left) or Theta*U (right)."""
+    u = _check_unitary(u, r.output_dim, tol)
     if side == "left":
         return Realization(r.a, r.b, u @ r.c, u @ r.d, r.flavor)
     if side == "right":

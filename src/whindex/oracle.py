@@ -16,10 +16,10 @@ from .errors import EvaluationError, ResolutionError, StructureError
 from .realizations import (
     BlaschkeSpec,
     Polynomial,
+    _zeta_power_blocks,
     blaschke_eval,
     p_sharp,
     poly_of_matrix,
-    zeta_power_realization,
 )
 
 #: Starting sample count for phase integration and the refinement cap.
@@ -33,20 +33,10 @@ ROOT_STABILITY_MARGIN = -1e-9
 PSD_REL_TOL = 1e-9
 
 
-def _phase_sweep(phi: BlaschkeSpec, m: BlaschkeSpec, samples: int) -> tuple[float, float]:
-    """Total unwrapped phase change of phi * conj(m) along the axis, plus the largest step.
-
-    The axis is parameterized as omega = tan(theta/2) with theta running from
-    pi down to -pi, i.e. omega from +inf to -inf, the orientation for which a
-    degree-n inner function winds +n times.
-    """
-    theta = np.linspace(np.pi, -np.pi, samples + 1)
+def _symbol_on_axis(phi: BlaschkeSpec, m: BlaschkeSpec, theta: np.ndarray) -> np.ndarray:
+    """phi * conj(m) at the axis points omega = tan(theta/2)."""
     omega = np.tan(theta / 2.0)
-    values = blaschke_eval(phi, 1j * omega) * np.conj(blaschke_eval(m, 1j * omega))
-    phases = np.unwrap(np.angle(values))
-    steps = np.diff(phases)
-    max_step = float(np.max(np.abs(steps))) if steps.size else 0.0
-    return float(phases[-1] - phases[0]), max_step
+    return blaschke_eval(phi, 1j * omega) * np.conj(blaschke_eval(m, 1j * omega))
 
 
 def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
@@ -56,20 +46,32 @@ def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
     count until every phase step is below pi/2 and the rounded result is
     stable across two refinements.  For Blaschke data this equals
     deg(phi) - deg(m).
+
+    The axis is omega = tan(theta/2) on ``np.linspace(pi, -pi, samples + 1)``,
+    omega from +inf to -inf, along which a degree-n inner function winds +n
+    times.  The grids nest: the even points of a doubled grid are the last
+    grid bit for bit, so each refinement evaluates only its new odd points.
     """
     samples = WINDING_INITIAL_SAMPLES
+    values = _symbol_on_axis(phi, m, np.linspace(np.pi, -np.pi, samples + 1))
     previous = None
-    while samples <= WINDING_MAX_SAMPLES:
-        total, max_step = _phase_sweep(phi, m, samples)
-        current = int(round(total / (2.0 * np.pi)))
+    while True:
+        phases = np.unwrap(np.angle(values))
+        max_step = float(np.abs(np.diff(phases)).max())
+        current = int(round(float(phases[-1] - phases[0]) / (2.0 * np.pi)))
         if max_step < np.pi / 2.0 and previous == current:
             return current
         previous = current if max_step < np.pi / 2.0 else None
         samples *= 2
-    raise ResolutionError(
-        f"phase integration did not settle within {WINDING_MAX_SAMPLES} samples; "
-        "a pole is too close to the axis"
-    )
+        if samples > WINDING_MAX_SAMPLES:
+            raise ResolutionError(
+                f"phase integration did not settle within {WINDING_MAX_SAMPLES} samples; "
+                "a pole is too close to the axis"
+            )
+        refined = np.empty(samples + 1, dtype=complex)
+        refined[::2] = values
+        refined[1::2] = _symbol_on_axis(phi, m, np.linspace(np.pi, -np.pi, samples + 1)[1::2])
+        values = refined
 
 
 def roots_stable(p: Polynomial) -> bool:
@@ -95,9 +97,10 @@ def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:
     n = p.degree
     if n < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
-    minus_a = -zeta_power_realization(n).a
+    minus_a = -_zeta_power_blocks(n)[0]
+    sharp = p_sharp(p)
     pm = poly_of_matrix(p, minus_a)
-    psm = poly_of_matrix(p_sharp(p), minus_a)
+    psm = poly_of_matrix(sharp, minus_a)
     g = hermitize(pm.conj().T @ pm - psm.conj().T @ psm)
     if not np.isfinite(g).all():
         raise EvaluationError("the Schur-Cohen quadratic form overflows to a non-finite value")
@@ -105,6 +108,13 @@ def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:
     if max(np.abs(pm).max(), np.abs(psm).max()) ** 2 < np.finfo(float).tiny:
         raise EvaluationError("the Schur-Cohen quadratic form underflows below the normal range")
     evals = np.linalg.eigvalsh(g)
+    top = float(np.abs(evals).max())
+    # G within the rounding of its terms has no sign to read, unless p# is a unimodular
+    # multiple of p: then G = 0 exactly and the roots mirror in the axis, so p is unstable.
+    eps = np.finfo(float).eps
+    if top <= 10 * n * eps * (np.vdot(pm, pm) + np.vdot(psm, psm)).real:
+        u = sharp.coeffs[-1] / p.coeffs[-1]
+        if not np.allclose(sharp.coeffs, np.multiply(u, p.coeffs), rtol=4 * eps, atol=0.0):
+            raise EvaluationError("the Schur-Cohen quadratic form vanishes within the rounding of its terms")
     lambda_min = float(evals[0])
-    threshold = PSD_REL_TOL * float(np.max(np.abs(evals))) if evals.size else 0.0
-    return lambda_min > threshold, lambda_min
+    return lambda_min > PSD_REL_TOL * top, lambda_min

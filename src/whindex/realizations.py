@@ -22,9 +22,8 @@ from .core import (
     Realization,
     SymbolPair,
     VALIDATION_TOL,
+    _block_diag,
     _svd,
-    constant_realization,
-    direct_sum,
     hermitize,
     opnorm,
 )
@@ -105,14 +104,18 @@ def zeta_power_realization(n: int) -> Realization:
     """
     if n < 1:
         raise StructureError(f"power must be a positive integer, got {n}")
+    return Realization(*_zeta_power_blocks(n), CONTINUOUS)
+
+
+def _zeta_power_blocks(n: int) -> tuple[np.ndarray, ...]:
+    """The arrays (a, b, c, d) of ``zeta_power_realization(n)``; n = 0 gives the constant 1."""
     a = -np.eye(n, dtype=complex)
     if n > 1:  # adding a 1 x 1 zero would flip the sign of the zero imaginary part
         offset = np.arange(n) - np.arange(n)[:, None]  # j - i at entry (i, j)
         a += np.triu(np.where(offset % 2, 2.0, -2.0), 1)
-    b = _SQRT2 * np.array([[(-1.0) ** (n - 1 - i)] for i in range(n)], dtype=complex)
+    b = _SQRT2 * np.array([[(-1.0) ** (n - 1 - i)] for i in range(n)], dtype=complex).reshape(n, 1)
     c = _SQRT2 * np.array([[(-1.0) ** j for j in range(n)]], dtype=complex)
-    d = np.array([[(-1.0) ** n]], dtype=complex)
-    return Realization(a, b, c, d, CONTINUOUS)
+    return a, b, c, np.array([[(-1.0) ** n]], dtype=complex)
 
 
 def blaschke_realization(spec: BlaschkeSpec) -> Realization:
@@ -130,10 +133,15 @@ def blaschke_realization(spec: BlaschkeSpec) -> Realization:
     -g_j g_k + g_j g_k = 0 off it; likewise ``b + c*d = -g + |rho|^2 g = 0``.
     The state dimension equals the degree; no poles give the constant rho.
     """
+    return Realization(*_blaschke_blocks(spec), CONTINUOUS)
+
+
+def _blaschke_blocks(spec: BlaschkeSpec) -> tuple[np.ndarray, ...]:
+    """The arrays (a, b, c, d) of ``blaschke_realization(spec)``."""
     poles = np.array(spec.poles[::-1], dtype=complex)
     g = np.sqrt(-2.0 * poles.real)
     a = np.diag(poles) - np.triu(np.outer(g, g), 1)
-    return Realization(a, -g[:, None], spec.rho * g[None, :], [[spec.rho]], CONTINUOUS)
+    return a, -g[:, None], spec.rho * g[None, :], np.array([[spec.rho]])
 
 
 def blaschke_eval(spec: BlaschkeSpec, s):
@@ -157,10 +165,11 @@ def diagonal_symbol_factors(powers) -> SymbolPair:
     """
     powers = [int(p) for p in powers]
 
-    def block(p):
-        return zeta_power_realization(p) if p > 0 else constant_realization([[1.0]])
+    def factor(sign):
+        blocks = [_zeta_power_blocks(max(sign * p, 0)) for p in powers]
+        return Realization(*(_block_diag([x[k] for x in blocks]) for k in range(4)), CONTINUOUS)
 
-    return SymbolPair(direct_sum(*map(block, powers)), direct_sum(*(block(-p) for p in powers)))
+    return SymbolPair(factor(1), factor(-1))
 
 
 def p_sharp(p: Polynomial) -> Polynomial:

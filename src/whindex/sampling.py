@@ -1,15 +1,16 @@
 """Seeded generators of random test instances.
 
 Everything takes an explicit numpy Generator so the verification battery and
-the test suite stay reproducible from a single seed.
+the test suite stay reproducible from a single seed.  A generator built by a
+shorter route than the one it names draws the same stream and the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Realization, SymbolPair, direct_sum, unitary_twist
-from .realizations import BlaschkeSpec, Polynomial, blaschke_realization
+from .core import Realization, SymbolPair, _block_diag, _check_unitary
+from .realizations import BlaschkeSpec, Polynomial, _blaschke_blocks
 
 #: Pole box used when nothing else is requested: comfortably off the axis.
 POLE_RE_RANGE = (-3.0, -0.1)
@@ -41,19 +42,16 @@ def random_blaschke_spec(
     return BlaschkeSpec(rho, poles)
 
 
-def random_siso_realization(rng: np.random.Generator, max_degree: int = 3) -> Realization:
-    """Random scalar inner function as a stable dissipative realization."""
-    degree = int(rng.integers(0, max_degree + 1))
-    return blaschke_realization(random_blaschke_spec(rng, degree))
-
-
 def random_mimo_realization(
     rng: np.random.Generator, m: int, max_block_degree: int = 3
 ) -> Realization:
-    """Random m x m inner function: a diagonal of scalar factors twisted by unitaries."""
-    out = direct_sum(*(random_siso_realization(rng, max_block_degree) for _ in range(m)))
-    out = unitary_twist(out, random_unitary(rng, m), "left")
-    return unitary_twist(out, random_unitary(rng, m), "right")
+    """Random m x m inner function, ``unitary_twist(unitary_twist(direct_sum(*scalars), u,
+    "left"), v, "right")`` for m scalar Blaschke realizations of random degree, then u and v."""
+    specs = [random_blaschke_spec(rng, int(rng.integers(0, max_block_degree + 1))) for _ in range(m)]
+    blocks = [_blaschke_blocks(spec) for spec in specs]
+    a, b, c, d = (_block_diag([x[k] for x in blocks]) for k in range(4))
+    u, v = (_check_unitary(random_unitary(rng, m), m) for _ in range(2))
+    return Realization(a, b @ v, u @ c, u @ d @ v)
 
 
 def random_symbol_pair(
@@ -114,5 +112,5 @@ def random_rank_one_dissipative(
     Returns (a, c) with a + a* + c*c = 0; these are the state and output maps
     of a random degree-n scalar inner function.
     """
-    r = blaschke_realization(random_blaschke_spec(rng, n))
-    return r.a, r.c
+    a, _, c, _ = _blaschke_blocks(random_blaschke_spec(rng, n))
+    return a, c

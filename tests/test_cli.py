@@ -355,6 +355,8 @@ def test_stability_command(capsys):
         ("1e200 1e200", "the Schur-Cohen quadratic form overflows to a non-finite value"),
         ("1e308 1e308", "the Schur-Cohen quadratic form overflows to a non-finite value"),
         ("1e-200 1e-200", "the Schur-Cohen quadratic form underflows below the normal range"),
+        # p(-A) and p#(-A) round to one matrix: G = 0 although the root -1e170 is stable.
+        ("1 1e-170", "the Schur-Cohen quadratic form vanishes within the rounding of its terms"),
     ],
 )
 def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):
@@ -366,8 +368,12 @@ def test_stability_overflow_is_a_computation_failure(capsys, coefficients, messa
     [
         # Terms of G near 1e-300 are still normal numbers.
         ("1e-150 1e-150", '{"lambda_min":4.0000000000000001e-300,"roots":true,"schur_cohen":true}'),
-        # G cancels to zero from normal terms: a root on the axis, answered.
+        # p# is a unimodular multiple of p, so G = 0 exactly: roots mirrored in the axis, answered.
         ("0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
+        ("1 0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
+        ("4 0 5 0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
+        # A complex multiple: u * p rounds to p# only within a few ulps.
+        ("24+26j 0 168+182j 0 24+26j", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
     ],
 )
 def test_stability_answers_a_small_or_cancelling_quadratic_form(capsys, coefficients, output):

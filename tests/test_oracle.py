@@ -4,6 +4,7 @@ import pytest
 from whindex import (
     BlaschkeSpec,
     Polynomial,
+    ResolutionError,
     StructureError,
     SymbolPair,
     blaschke_realization,
@@ -12,6 +13,8 @@ from whindex import (
     schur_cohen_stable,
     winding_number,
 )
+import whindex.oracle as oracle
+from whindex.realizations import blaschke_eval
 from whindex.sampling import random_blaschke_spec, random_polynomial_off_axis
 
 
@@ -39,6 +42,58 @@ def test_winding_law_random_sweep():
         phi = random_blaschke_spec(rng, int(rng.integers(0, 7)))
         m = random_blaschke_spec(rng, int(rng.integers(0, 7)))
         assert winding_number(phi, m) == phi.degree - m.degree
+
+
+def _restarting_winding_number(phi, m):
+    """The sweep of winding_number with every refinement level evaluated from scratch."""
+    samples = oracle.WINDING_INITIAL_SAMPLES
+    previous = None
+    while samples <= oracle.WINDING_MAX_SAMPLES:
+        theta = np.linspace(np.pi, -np.pi, samples + 1)
+        omega = np.tan(theta / 2.0)
+        values = blaschke_eval(phi, 1j * omega) * np.conj(blaschke_eval(m, 1j * omega))
+        phases = np.unwrap(np.angle(values))
+        max_step = float(np.max(np.abs(np.diff(phases))))
+        current = int(round(float(phases[-1] - phases[0]) / (2.0 * np.pi)))
+        if max_step < np.pi / 2.0 and previous == current:
+            return current
+        previous = current if max_step < np.pi / 2.0 else None
+        samples *= 2
+    raise ResolutionError(
+        f"phase integration did not settle within {oracle.WINDING_MAX_SAMPLES} samples; "
+        "a pole is too close to the axis"
+    )
+
+
+def _winding_or_refusal(winding, phi, m):
+    try:
+        return winding(phi, m)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def test_winding_grids_nest_bit_for_bit_up_to_the_cap():
+    samples = oracle.WINDING_INITIAL_SAMPLES
+    while 2 * samples <= oracle.WINDING_MAX_SAMPLES:
+        coarse = np.linspace(np.pi, -np.pi, samples + 1)
+        assert np.linspace(np.pi, -np.pi, 2 * samples + 1)[::2].tobytes() == coarse.tobytes(), samples
+        samples *= 2
+
+
+def test_nested_winding_sweep_answers_as_the_restarting_one(monkeypatch):
+    # A lower cap keeps the near-axis pairs cheap and refuses more of them; the
+    # grids nest at every level up to the real cap (test above).
+    monkeypatch.setattr(oracle, "WINDING_MAX_SAMPLES", 2**16)
+    rng = np.random.default_rng(54)
+    refused = 0
+    for k in range(200):
+        box = (-1e-3, -1e-6) if k % 2 else (-3.0, -0.1)
+        phi = random_blaschke_spec(rng, int(rng.integers(0, 4)), box)
+        m = random_blaschke_spec(rng, int(rng.integers(0, 4)), box)
+        got = _winding_or_refusal(winding_number, phi, m)
+        assert got == _winding_or_refusal(_restarting_winding_number, phi, m), k
+        refused += isinstance(got, str)
+    assert refused > 0
 
 
 def test_roots_stable_examples():
