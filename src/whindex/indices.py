@@ -48,6 +48,13 @@ those steps and forms all their images c_d M^j B_0 with one product.  One
 isometry check of [M; c_d] to within tol replaces the per-step refusal of
 sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like the
 validation of the factors, it decides with the Frobenius screen first.
+
+A scalar chain (m = 1) drops one direction per step or is refused, so Y
+spans the earlier images and the s of step k is the distance of image k from
+them: |r_kk| of the QR of the d_0 images as columns (Golub & Van Loan, 4th
+ed., 5.2).  One zgeqrf decides every step as an SVD per step would, except
+where s^2 is within roundoff of tol.  Chains with m > 1 keep that SVD: one of
+their steps may keep directions of its block that a QR would project off.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from .core import (
     Realization,
     SymbolPair,
     _frobenius,
+    _lapack,
     _minus_identity,
     _screen,
     _screened_report,
@@ -75,7 +83,9 @@ from .equations import (
     solve_sylvester,
     zeta_of_minus,
 )
-from .errors import ContractionViolationError, InputValidationError, PipelineError, StructureError
+from .errors import (
+    ContractionViolationError, EvaluationError, InputValidationError, PipelineError, StructureError,
+)
 
 
 @dataclass(frozen=True)
@@ -194,14 +204,22 @@ def _kernel_dimension_chain(
         for _ in range(-(-dims[-1] // size) - 1):
             block.append(block[-1] @ m)
         images = (np.concatenate(block) if len(block) > 1 else rows) @ basis
+        if size == 1:  # one batch of d_0 images, whose QR decides every step
+            qr, _, _, info = _lapack().zgeqrf(images.T, overwrite_a=True)
+            if info != 0:
+                raise EvaluationError(f"QR factorization failed (zgeqrf info {info})")
+            distances = np.abs(qr.diagonal())
         for step in range(len(block)):
-            x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
-            for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
-                x -= (x @ yt[:r].T) @ yh[:r]
-            _, s, vh = _svd(x, full_matrices=False)
-            drop = int(np.count_nonzero(s * s > tol))  # s is descending
-            yh[r:r + drop] = vh[:drop]
-            np.conjugate(vh[:drop], out=yt[r:r + drop])
+            if size == 1:
+                drop = int(distances[step] ** 2 > tol)
+            else:
+                x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
+                for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
+                    x -= (x @ yt[:r].T) @ yh[:r]
+                _, s, vh = _svd(x, full_matrices=False)
+                drop = int(np.count_nonzero(s * s > tol))  # s is descending
+                yh[r:r + drop] = vh[:drop]
+                np.conjugate(vh[:drop], out=yt[r:r + drop])
             dims.append(dims[-1] - drop)
             if dims[-1] >= dims[-2]:
                 raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")

@@ -74,8 +74,8 @@ def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
         values = refined
 
 
-def roots_stable(p: Polynomial) -> bool:
-    """True when all companion-matrix roots lie strictly in the left half plane."""
+def _rightmost_root(p: Polynomial) -> complex:
+    """The companion-matrix root of p with the largest real part."""
     if p.degree < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
     coeffs = np.asarray(p.coeffs[::-1], dtype=complex)
@@ -83,7 +83,12 @@ def roots_stable(p: Polynomial) -> bool:
         if not np.isfinite(coeffs / coeffs[0]).all():
             raise EvaluationError("the root test overflows: the companion matrix has a non-finite entry")
     roots = np.roots(coeffs)
-    return bool(np.all(roots.real < ROOT_STABILITY_MARGIN))
+    return complex(roots[np.argmax(roots.real)])
+
+
+def roots_stable(p: Polynomial) -> bool:
+    """True when all companion-matrix roots lie left of ``ROOT_STABILITY_MARGIN``."""
+    return _rightmost_root(p).real < ROOT_STABILITY_MARGIN
 
 
 def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:

@@ -357,6 +357,8 @@ def test_stability_command(capsys):
         ("1e-200 1e-200", "the Schur-Cohen quadratic form underflows below the normal range"),
         # p(-A) and p#(-A) round to one matrix: G = 0 although the root -1e170 is stable.
         ("1 1e-170", "the Schur-Cohen quadratic form vanishes within the rounding of its terms"),
+        # The form reads G = 4e-12 > 0; the root test's absolute margin cannot decide -1e-12.
+        ("1e-12 1", "the root (-1e-12+0j) lies inside the root test's margin -1e-09"),
     ],
 )
 def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):

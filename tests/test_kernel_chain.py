@@ -38,6 +38,16 @@ SWEEP_SEEDS = (1, 2, 3)
 SWEEP_MAX_FAILURES = 5
 #: Sweep pairs whose degree gap is confirmed by the winding-number oracle.
 SWEEP_ORACLE_SAMPLE = 12
+#: Pairs of the deep sweep, with both degrees drawn from DEEP_DEGREES.
+DEEP_PAIRS = 60
+DEEP_DEGREES = (21, 40)
+#: PipelineError count of the deep sweep's 120 profiles with the chain of one
+#: SVD per step, which the QR of scalar chains replaced; it may only fall.
+DEEP_MAX_FAILURES = 16
+#: Deep sweep pairs whose degree gap is confirmed by the winding-number oracle.
+DEEP_ORACLE_SAMPLE = 6
+#: Distances of the near-axis pole of ``_near_axis_pair`` from the imaginary axis.
+NEAR_AXIS_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 #: The typed errors whindex refuses an input with.
 WHINDEX_ERRORS = tuple(
     e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)
@@ -168,8 +178,8 @@ def test_chain_refuses_a_drop_larger_than_the_one_before():
         indices._kernel_dimension_chain(basis, w, schur_form(w.a), CLUSTER_TOL)
 
 
-class _SvdRecorder:
-    """The LAPACK module with its SVDs (zgesdd, dgesdd) recorded in ``calls``."""
+class _DecompositionRecorder:
+    """The LAPACK module with its SVDs (zgesdd, dgesdd) and QRs (zgeqrf) recorded in ``calls``."""
 
     def __init__(self, lapack, calls, inside):
         self.lapack, self.calls, self.inside = lapack, calls, inside
@@ -190,16 +200,23 @@ class _SvdRecorder:
     def dgesdd(self, *args, **kwargs):
         return self._record("dgesdd", *args, **kwargs)
 
+    def zgeqrf(self, a, *args, **kwargs):
+        self.calls.append((bool(self.inside), "qr", np.shape(a)))
+        return self.lapack.zgeqrf(a, *args, **kwargs)
+
 
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
-    """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega;
-    inside them, every decomposition is an SVD with at most m rows: the chain
-    takes N_0 as a basis, and the Frobenius screen decides the isometry check
-    of a genuine pair without a decomposition.  The SVDs are counted at the
-    LAPACK wrappers, and numpy's SVD is never called."""
+    """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega.
+    Inside them, a scalar chain that runs makes one QR of its d_0 x d_0 images
+    and no SVD, and every decomposition of a chain with m > 1 is an SVD with at
+    most m rows: the chain takes N_0 as a basis, and the Frobenius screen
+    decides the isometry check of a genuine pair without a decomposition.  The
+    decompositions are counted at the LAPACK wrappers, and numpy's SVD is
+    never called."""
     calls, inside, numpy_svds = [], [], []
-    recorder = _SvdRecorder(core._lapack(), calls, inside)
+    recorder = _DecompositionRecorder(core._lapack(), calls, inside)
     monkeypatch.setattr(core, "_lapack", lambda: recorder)
+    monkeypatch.setattr(indices, "_lapack", lambda: recorder)
     for name in ("eigh", "eigvalsh"):
         def record(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append((bool(inside), _name, np.shape(a)))
@@ -226,6 +243,7 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     rng = np.random.default_rng(3106)
     pairs = [diagonal_symbol_factors([-16, 16]), diagonal_symbol_factors([-3, 2, -1])]
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
+    pairs.append(_scalar_pair(*(random_blaschke_spec(rng, d) for d in (3, 9))))
     for pair in pairs:
         chains.clear()
         calls.clear()
@@ -236,13 +254,16 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
         assert outside == ([("svd", shape)] if min(shape) else [])
         assert len(chains) == 2
         for dims, recorded in chains:
+            if pair.output_dim == 1:
+                assert recorded == ([("qr", (dims[0], dims[0]))] if dims[0] else [])
+                continue
             assert [name for name, _ in recorded] == ["svd"] * (len(dims) - 1)
             assert all(shape[0] <= pair.output_dim for _, shape in recorded)
     assert numpy_svds == []
 
 
-class _FailingSvd:
-    """The LAPACK module with every SVD reporting that it did not converge (info 1)."""
+class _FailingDecompositions:
+    """The LAPACK module with every SVD and QR reporting failure (info 1)."""
 
     def __init__(self, lapack):
         self.lapack = lapack
@@ -256,20 +277,31 @@ class _FailingSvd:
     def dgesdd(self, *args, **kwargs):
         return (*self.lapack.dgesdd(*args, **kwargs)[:3], 1)
 
+    def zgeqrf(self, *args, **kwargs):
+        return (*self.lapack.zgeqrf(*args, **kwargs)[:3], 1)
 
-@pytest.mark.parametrize("decomposition", ["step zero", "chain step", "opnorm", "real opnorm"])
+
+@pytest.mark.parametrize(
+    "decomposition", ["step zero", "chain step", "scalar chain", "opnorm", "real opnorm"]
+)
 def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
     w = diagonal_symbol_factors([-2, 2]).w
     sw, basis = schur_form(w.a), np.eye(w.state_dim)[:, :1]
+    scalar = blaschke_realization(BlaschkeSpec(1.0, (-1.0, -2.0)))
     decompose = {
         "step zero": lambda: indices._step_zero(0.5 * np.eye(2, dtype=complex), CLUSTER_TOL),
         "chain step": lambda: indices._kernel_dimension_chain(basis, w, sw, CLUSTER_TOL),
+        "scalar chain": lambda: indices._kernel_dimension_chain(
+            basis, scalar, schur_form(scalar.a), CLUSTER_TOL
+        ),
         "opnorm": lambda: core.opnorm(np.ones((2, 3), dtype=complex)),
         "real opnorm": lambda: core.opnorm(np.ones((2, 3))),
     }[decomposition]
-    failing = _FailingSvd(core._lapack())
+    failing = _FailingDecompositions(core._lapack())
     monkeypatch.setattr(core, "_lapack", lambda: failing)
-    with pytest.raises(EvaluationError, match=r"gesdd info 1\)"):
+    monkeypatch.setattr(indices, "_lapack", lambda: failing)
+    routine = "zgeqrf" if decomposition == "scalar chain" else "gesdd"
+    with pytest.raises(EvaluationError, match=rf"{routine} info 1\)"):
         decompose()
 
 
@@ -311,13 +343,18 @@ def test_blaschke_sweep_degrees_8_to_20():
     assert failures <= SWEEP_MAX_FAILURES
 
 
-@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
-def test_near_axis_scalar_pairs_are_answered_right_or_refused(eps):
-    # phi has a pole eps from the imaginary axis, and the truth is its degree
-    # gap to m.  Such pairs may be refused with a typed error (the chain
-    # refuses them below about 1e-6), but never answered wrongly.
+def _near_axis_pair(eps):
+    """phi with a pole eps from the imaginary axis over m of degree 1: the truth is 2."""
     phi = BlaschkeSpec(1.0, (-eps + 5j, -1.0, -3.0))
-    pair = SymbolPair(blaschke_realization(phi), blaschke_realization(BlaschkeSpec(1.0, (-0.5,))))
+    return SymbolPair(blaschke_realization(phi), blaschke_realization(BlaschkeSpec(1.0, (-0.5,))))
+
+
+@pytest.mark.parametrize("eps", NEAR_AXIS_EPS)
+def test_near_axis_scalar_pairs_are_answered_right_or_refused(eps):
+    # The truth is the degree gap of phi to m.  Such pairs may be refused with
+    # a typed error (the chain refuses them below about 1e-6), but never
+    # answered wrongly.
+    pair = _near_axis_pair(eps)
     for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
         try:
             answer = full_profile(flavored).all_indices
@@ -325,3 +362,102 @@ def test_near_axis_scalar_pairs_are_answered_right_or_refused(eps):
             assert eps < 1e-4
             continue
         assert answer == (2,)
+
+
+def _random_specs(seed, count, degrees):
+    """``count`` seeded (phi, m) pairs with both degrees drawn from ``degrees``, inclusive."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield tuple(random_blaschke_spec(rng, int(rng.integers(*degrees, endpoint=True)))
+                    for _ in range(2))
+
+
+def _scalar_pair(phi, m):
+    return SymbolPair(blaschke_realization(phi), blaschke_realization(m))
+
+
+def test_blaschke_sweep_degrees_21_to_40():
+    pairs = list(_random_specs(3107, DEEP_PAIRS, DEEP_DEGREES))
+    failures = 0
+    for phi, m in pairs:
+        pair = _scalar_pair(phi, m)
+        for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
+            try:
+                profile = full_profile(flavored)
+            except PipelineError:
+                failures += 1
+                continue
+            assert profile.all_indices == (phi.degree - m.degree,)
+    rng = np.random.default_rng(3108)
+    for i in rng.choice(len(pairs), size=DEEP_ORACLE_SAMPLE, replace=False):
+        phi, m = pairs[int(i)]
+        assert winding_number(phi, m) == phi.degree - m.degree
+    print(f"{2 * len(pairs)} Blaschke profiles of degree 21-40, {failures} PipelineError")
+    assert failures <= DEEP_MAX_FAILURES
+
+
+def _stepwise_chain(basis, w, sw, tol):
+    """``indices._kernel_dimension_chain`` with one SVD per step for every m,
+    less its isometry check: the images of a step are projected twice off the
+    directions Y dropped so far, and the step drops the right singular vectors
+    with s^2 > tol.  The reference for the one QR of a scalar chain."""
+    dims = [basis.shape[1]]
+    if not dims[0]:
+        return dims
+    if w.flavor == DISCRETE:
+        m, rows = w.a, w.c
+    else:
+        m = zeta_of_minus(sw)
+        rows = (w.c + w.c @ m) / np.sqrt(2.0)
+    yh = np.empty((dims[0], dims[0]), dtype=complex)
+    yt = np.empty(yh.shape, dtype=complex)
+    block, size = [rows], len(rows)
+    while True:
+        for _ in range(-(-dims[-1] // size) - 1):
+            block.append(block[-1] @ m)
+        images = (np.concatenate(block) if len(block) > 1 else rows) @ basis
+        for step in range(len(block)):
+            x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
+            for _ in range(2 if r else 0):
+                x -= (x @ yt[:r].T) @ yh[:r]
+            _, s, vh = core._svd(x, full_matrices=False)
+            drop = int(np.count_nonzero(s * s > tol))
+            yh[r:r + drop] = vh[:drop]
+            np.conjugate(vh[:drop], out=yt[r:r + drop])
+            dims.append(dims[-1] - drop)
+            if dims[-1] >= dims[-2]:
+                raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
+            if len(dims) > 2 and dims[-2] - dims[-1] > dims[-3] - dims[-2]:
+                raise PipelineError(f"kernel dimension drops are not non-increasing: {dims}")
+        if not dims[-1]:
+            return dims
+        rows = block[-1] @ m
+        block = [rows]
+
+
+def _chain_outcome(chain, *args):
+    try:
+        return chain(*args)
+    except PipelineError as exc:
+        return str(exc)
+
+
+def test_scalar_chain_qr_decides_as_the_stepwise_chain():
+    pairs = [_scalar_pair(*specs) for specs in _random_specs(3109, 80, (2, 40))]
+    pairs += [_near_axis_pair(eps) for eps in NEAR_AXIS_EPS]
+    steps = refusals = 0
+    for pair in pairs:
+        for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
+            sv, sw = indices._validated(flavored, CLUSTER_TOL)
+            omega = indices._coupling(flavored, sv, sw).x
+            _, positive, negative = indices._step_zero(omega, CLUSTER_TOL)
+            for basis, w, form in ((negative, flavored.w, sw), (positive, flavored.v, sv)):
+                args = basis, w, form, CLUSTER_TOL
+                expected = _chain_outcome(_stepwise_chain, *args)
+                assert _chain_outcome(indices._kernel_dimension_chain, *args) == expected
+                if isinstance(expected, str):
+                    refusals += 1
+                else:
+                    steps += len(expected) - 1
+    # Both outcomes are compared: 776 steps of answered chains and 76 refusals.
+    assert steps >= 700 and refusals >= 70

@@ -21,7 +21,7 @@ from whindex import (
     zeta_of_minus,
 )
 from whindex.core import opnorm
-from whindex import core, equations
+from whindex import core, equations, indices
 from whindex.equations import CONDITION_LIMIT, SOLVE_TOL, schur_form
 from whindex.sampling import random_blaschke_spec, random_hurwitz_matrix, random_schur_matrix
 
@@ -390,29 +390,33 @@ def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
 
 
 def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
-    """Every LAPACK routine a profile calls, counted at the wrappers of both
-    modules: two Schur forms, the solve with its two Gramians, one SVD for
-    omega, one for its residual norm and one per chain step.  A continuous
-    side whose chain runs evaluates the disk map: two condition estimates and
-    one triangular solve.  A discrete profile inverts two shifted Schur factors
-    for the Cayley factors of its Stein solve instead."""
+    """Every LAPACK routine a profile calls, counted at the wrappers of the
+    three modules that call LAPACK: two Schur forms, the solve with its two
+    Gramians, one SVD for omega and one for its residual norm.  A chain that
+    runs makes one SVD per step for m > 1, and one QR of its images and no
+    SVD for m = 1.  A continuous side whose chain runs evaluates the disk
+    map: two condition estimates and one triangular solve.  A discrete
+    profile inverts two shifted Schur factors for the Cayley factors of its
+    Stein solve instead."""
     counter = _LapackCounter(core._lapack())
-    monkeypatch.setattr(equations, "_lapack", lambda: counter)
-    monkeypatch.setattr(core, "_lapack", lambda: counter)
-    svds = {False: [], True: []}
+    for module in (equations, core, indices):
+        monkeypatch.setattr(module, "_lapack", lambda: counter)
+    decompositions = {False: [], True: []}
     for pair in _profile_pairs():
+        scalar = pair.output_dim == 1
         for discrete in (False, True):
             flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
             counter.calls.clear()
             profile = full_profile(flavored)
             dims = [profile.negative_trace.kernel_dims, profile.positive_trace.kernel_dims]
             steps, running = sum(len(d) - 1 for d in dims), sum(d[0] > 0 for d in dims)
-            budget = {"zgees": 2, "ztrsyl": 3, "zgesdd": 2 + steps}
+            budget = {"zgees": 2, "ztrsyl": 3, "zgesdd": 2 + (0 if scalar else steps)}
+            budget.update({"zgeqrf": running} if scalar and running else {})
             budget.update({"ztrtri": 2} if discrete else {"ztrcon": 2 * running, "ztrtrs": running})
             assert {name: count for name, count in counter.calls.items()
                     if not name.endswith("_lwork")} == budget
-            svds[discrete].append(budget["zgesdd"])
-    assert svds[False] == svds[True] == [8, 34, 6]
+            decompositions[discrete].append((budget["zgesdd"], budget.get("zgeqrf", 0)))
+    assert decompositions[False] == decompositions[True] == [(8, 0), (34, 0), (2, 1)]
 
 
 def test_gate_accepts_a_well_conditioned_equation_near_the_axis():
