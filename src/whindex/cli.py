@@ -41,7 +41,9 @@ from .errors import (
     UnsolvableEquationError,
 )
 from .indices import IndexProfile, full_profile
-from .oracle import ROOT_STABILITY_MARGIN, _rightmost_root, roots_stable, schur_cohen_stable
+from .oracle import (
+    PSD_REL_TOL, ROOT_STABILITY_MARGIN, _rightmost_root, roots_stable, schur_cohen_stable,
+)
 from .realizations import Polynomial, blaschke_realization, diagonal_symbol_factors
 from .serialize import (
     blaschke_spec_from_json,
@@ -209,8 +211,16 @@ def cmd_stability(args) -> int:
     p = _parse_coefficients(args.coefficients)
     by_roots = roots_stable(p)
     by_form, lambda_min = schur_cohen_stable(p)
-    if by_form != by_roots and ROOT_STABILITY_MARGIN <= (root := _rightmost_root(p)).real < 0:
-        raise ResolutionError(f"the root {root} lies inside the root test's margin {ROOT_STABILITY_MARGIN}")
+    if by_form != by_roots:
+        if ROOT_STABILITY_MARGIN <= (root := _rightmost_root(p)).real < 0:
+            raise ResolutionError(
+                f"the root {root} lies inside the root test's margin {ROOT_STABILITY_MARGIN}"
+            )
+        if not by_form and lambda_min > 0:  # positive, but within PSD_REL_TOL of the largest
+            raise ResolutionError(
+                f"the quadratic form's smallest eigenvalue {lambda_min!r} lies inside its "
+                f"relative margin {PSD_REL_TOL}"
+            )
     payload = {"schur_cohen": by_form, "roots": by_roots, "lambda_min": lambda_min}
     _emit(canonical_json(payload), args.output)
     if by_form != by_roots:

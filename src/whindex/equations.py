@@ -58,6 +58,12 @@ the limit.  Otherwise one rule decides both equations: the smaller of the
 comparison bound and, where ztrsyl solved both Gramians without perturbing a
 pivot, their 2-norm bound.
 
+The disk map ``zeta_of_minus`` refuses a pole of (I + a)(I - a)^{-1} by the
+exact 2-norm condition number of I - a, from one zgesdd of its singular
+values alone, so no estimate enters anywhere in this module.  The kernel
+chain, whose factor validation already proves I - a far from singular,
+calls ``_disk_map``, the same evaluation without that test.
+
 SciPy's LAPACK wrappers (``core._lapack``) are loaded by the first
 factorization or SVD rather than with the package, and without the
 ``scipy.linalg`` package around them, whose import costs more than all of
@@ -71,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite, _lapack, _screen, hermitize, opnorm
+from .core import _finite, _lapack, _screen, _svd, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -333,26 +339,35 @@ def solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution
     return _solve(a, b, c, stein=True)
 
 
+def _disk_map(f: SchurForm) -> np.ndarray:
+    """``zeta_of_minus`` of the matrix a that the non-empty form ``f`` stands for,
+    without its pole test: u (I - t)^{-1}(I + t) u* by one ztrtrs.  For callers
+    that have proved I - a far from singular; an exactly singular I - t raises
+    ``EvaluationError``."""
+    lapack, eye = _lapack(), np.eye(len(f.t), dtype=complex)
+    # (I - t) and (I + t) commute, so this equals u (I + t)(I - t)^{-1} u*.
+    y, info = lapack.ztrtrs(eye - f.t, eye + f.op(), trans=2 if f.adjoint else 0)
+    if info != 0:
+        raise EvaluationError(f"I - a is exactly singular (ztrtrs info {info})")
+    return f.u @ y @ f.u.conj().T
+
+
 def zeta_of_minus(a: np.ndarray) -> np.ndarray:
     """Evaluate the half-plane-to-disk map (1-s)/(1+s) at ``-a``.
 
     Returns ``(I + a)(I - a)^{-1}``, computed as ``u (I - t)^{-1}(I + t) u*``
     from the Schur form of ``a``; ``a`` may be given as a ``SchurForm``.
     For Hurwitz-stable ``a`` every eigenvalue lands strictly inside the unit
-    disk.
+    disk.  A pole is refused where the 2-norm condition number of I - a, the
+    ratio of its extreme singular values, exceeds ``CONDITION_LIMIT``.
     """
     f = _factored(a)
     if len(f.t) == 0:
         return np.zeros((0, 0), dtype=complex)
-    lapack, eye = _lapack(), np.eye(len(f.t), dtype=complex)
-    shifted = eye - f.t
-    # sqrt(kappa_1 kappa_inf) bounds the 2-norm condition number of I - a from above.
-    rcond = np.sqrt(lapack.ztrcon(shifted, norm="1")[0] * lapack.ztrcon(shifted, norm="I")[0])
-    if rcond * CONDITION_LIMIT < 1.0:
+    s = _svd(np.eye(len(f.t)) - f.t, compute_uv=False)  # u is unitary: those of I - a
+    if not s[-1] * CONDITION_LIMIT >= s[0]:
         raise EvaluationError("an eigenvalue of a is too close to 1; the map has a pole there")
-    # (I - t) and (I + t) commute, so this equals u (I + t)(I - t)^{-1} u*.
-    y, _ = lapack.ztrtrs(shifted, eye + f.op(), trans=2 if f.adjoint else 0)
-    return f.u @ y @ f.u.conj().T
+    return _disk_map(f)
 
 
 def _unit_cut(evals: np.ndarray, tol: float) -> np.ndarray:

@@ -49,6 +49,15 @@ isometry check of [M; c_d] to within tol replaces the per-step refusal of
 sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like the
 validation of the factors, it decides with the Frobenius screen first.
 
+Validation itself proves most of that check.  A continuous factor passes
+with E = a + a* + c*c of 2-norm at most delta = VALIDATION_TOL, and then
+M*M + c_d*c_d - I = 2 R* E R with R = (I - a)^{-1} of norm at most
+1/(1 - delta/2); a discrete one has [M; c_d] = [a; c], whose defect is a
+block of the validated S*S - I.  So the map needs no pole test
+(``equations._disk_map``), and the chain forms the Gram matrix only where
+delta and an explicit bound on the rounding of the computed [M; c_d] leave
+no proof that its defect is within tol/2 (``_isometry_certified``).
+
 A scalar chain (m = 1) drops one direction per step or is refused, so Y
 spans the earlier images and the s of step k is the distance of image k from
 them: |r_kk| of the QR of the d_0 images as columns (Golub & Van Loan, 4th
@@ -65,6 +74,7 @@ import numpy as np
 
 from .core import (
     DISCRETE,
+    VALIDATION_TOL,
     Realization,
     SymbolPair,
     _frobenius,
@@ -78,10 +88,10 @@ from .equations import (
     CLUSTER_TOL,
     EquationSolution,
     SchurForm,
+    _disk_map,
     _schur,
     solve_stein,
     solve_sylvester,
-    zeta_of_minus,
 )
 from .errors import (
     ContractionViolationError, EvaluationError, InputValidationError, PipelineError, StructureError,
@@ -168,16 +178,77 @@ def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, n
     return s, u[:, r:], vh[r:].conj().T
 
 
+def _isometry_certified(w: Realization, sw: SchurForm, tol: float, delta: float | None) -> bool:
+    """Whether a balance defect |E|_2 <= ``delta`` of the factor w proves that the
+    computed [M; c_d] of the chain passes its isometry check, whose computed
+    Gram defect it then bounds by tol/2.  Without ``delta`` it proves nothing.
+
+    Exactly, E = a + a* + c*c for a continuous factor, and with R = (I - a)^{-1},
+    M = 2R - I and c_d = sqrt(2) c R,
+
+        M*M + c_d*c_d - I = R* ((I + a)*(I + a) + 2c*c - (I - a)*(I - a)) R = 2 R* E R,
+
+    while Re<(I - a)x, x> = |x|^2 + |cx|^2/2 - <Ex, x>/2 gives |R| <= r = 1/(1 - |E|/2).
+    So the defect is at most 2|E| r^2.  A discrete factor has M = a and c_d = c,
+    and its defect is the leading block of E = S*S - I, at most |E|.
+
+    Rounding (2-norms; Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed. 2002).  A complex operation errs by at most 6u, u = 2^-53, as a
+    division errs by sqrt(2) gamma_4 (Lemma 3.5); g = 6ku / (1 - 6ku) for
+    k = n + m + 1 bounds every sum, product (sec. 3.5) and triangular solve
+    (Thm 8.5) below.  B = 1 + |t|_F bounds 1 + |a| and 1 + ||t||, with ||x|| the
+    norm of the entrywise magnitudes, at most sqrt(rank) |x|.  zgees and
+    eigvalsh are backward stable; their backward errors are taken as g times the
+    norm (the LAPACK Users' Guide, 3rd ed., sec. 4.7-4.8, leaves the factor of
+    u unspecified).  Factors within 1% of 1 are absorbed, which holds when
+    delta <= 1e-2 and the bound below is at most tol/2 < 1/2.
+    - Validation held the computed E to delta; E itself is within
+      g (2 ||a|| + ||c||^2) and the rounding of that norm of it, with
+      |c|^2 <= |E| + 2|a|: |E| <= delta + 4 (n + m) g B.
+    - The Schur form is exact for a + F', |F'| <= 4.1 g B, with a unitary within
+      g of the computed one, and moves M by 2 |R' F' R| <= 8.3 g B, where
+      R' = (I - a - F')^{-1}.
+    - ztrtrs solves each column of y = (I - t)^{-1}(I + t) backward stably
+      (forming I -+ t included), within 1.4 n g B; the two products with u add
+      2.2 n g, and u's distance to unitary 2.1 g: |M^ - M| <= 14 n g B.
+    - c_d^ = (c + c M^)/sqrt(2).  The errors of the Schur form and of the solve
+      reach it through c R', a block of an isometry to within 1%, so |c R'| <= 0.72;
+      those of the products through |c| <= 1.43 sqrt(B): |c_d^ - c_d| <= 10.5 (n + m) g B.
+    - So eps = |[M^; c_d^] - [M; c_d]| <= 24.5 (n + m) g B, its Gram defect is
+      within 2.03 eps of the exact one, and the Gram matrix and the eigenvalues
+      of the check add 1.1 (n + 1) g.
+    Summed, the certificate is 2 delta / (1 - delta/2)^2 + 64 (n + m) g B <= tol/2.
+    A discrete [M; c_d] is w's own data; validating S*S - I and forming the
+    Gram matrix err by at most 2.2 (n + m) g: delta + 3 (n + m) g <= tol/2.
+    """
+    if delta is None:
+        return False
+    n, m = w.state_dim, w.output_dim
+    k = 6.0 * (n + m + 1) * 2.0**-53
+    g = k / (1.0 - k)
+    if w.flavor == DISCRETE:
+        return delta + 3.0 * (n + m) * g <= 0.5 * tol
+    defect = 2.0 * delta / (1.0 - 0.5 * delta) ** 2
+    return defect + 64.0 * (n + m) * g * (1.0 + _frobenius(sw.t)) <= 0.5 * tol
+
+
 def _kernel_dimension_chain(
-    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
+    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float, delta: float | None = None
 ) -> list[int]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
     ``basis`` is an orthonormal basis B_0 of N_0, the unit eigenspace of Q.
     Only if N_0 is not trivial are M and c_d of w built, checked and iterated
-    as in the module docstring.  A chain whose drops are not positive and
-    non-increasing means the input was not a genuine unimodular symbol pair
-    at this tolerance; as it starts at most at n, it ends within n steps.
+    as in the module docstring.  The disk map of a continuous w has no pole
+    test: with a + a* + c*c = E, Re<(I - a)x, x> >= (1 - |E|/2)|x|^2, so I - a
+    is far from singular for every factor that validation accepts, and only an
+    exactly singular one fails the triangular solve.  ``delta`` is the bound on
+    |E|_2 that validation established; the isometry check runs unless
+    ``_isometry_certified`` proves it passes, and always without ``delta``,
+    where it also refuses a map stretched by a pole.  A chain whose drops are
+    not positive and non-increasing means the input was not a genuine
+    unimodular symbol pair at this tolerance; as it starts at most at n, it
+    ends within n steps.
     """
     dims = [basis.shape[1]]
     if not dims[0]:
@@ -185,15 +256,17 @@ def _kernel_dimension_chain(
     if w.flavor == DISCRETE:
         m, rows = w.a, w.c
     else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
-        m = zeta_of_minus(sw)
+        m = _disk_map(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
-    gram = m.conj().T @ m + rows.conj().T @ rows
-    if not _screen(_frobenius(_minus_identity(gram.copy())), tol):
-        residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
-        if residual > tol:
-            raise ContractionViolationError(
-                f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}", eigenvalue=residual
-            )
+    if not _isometry_certified(w, sw, tol, delta):
+        gram = m.conj().T @ m + rows.conj().T @ rows
+        if not _screen(_frobenius(_minus_identity(gram.copy())), tol):
+            residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
+            if residual > tol:
+                raise ContractionViolationError(
+                    f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}",
+                    eigenvalue=residual,
+                )
     # Y* and its conjugate Y^T of the dropped directions fill the leading rows.
     yh = np.empty((dims[0], dims[0]), dtype=complex)
     yt = np.empty(yh.shape, dtype=complex)
@@ -237,7 +310,8 @@ def _side(
 ) -> tuple[PipelineTrace, list[int], list[int]]:
     """Chain of one side from its coupling omega and step 0 of ``_step_zero``;
     ``w`` is the factor on the state space of ``basis``, whose map M iterates."""
-    dims = _kernel_dimension_chain(basis, w, sw, tol)
+    # ``_validated`` held w's balance defect to VALIDATION_TOL.
+    dims = _kernel_dimension_chain(basis, w, sw, tol, VALIDATION_TOL)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     trace = PipelineTrace(
         omega=omega.x,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,22 @@ def test_stability_command(capsys):
 )
 def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):
     assert run(capsys, "stability", coefficients) == (3, "", f"computation failed: {message}\n")
+
+
+def test_stability_inside_the_form_margin_is_a_computation_failure(capsys):
+    # The rightmost root -4.4e-9 - 0.48i lies left of the root test's margin, so
+    # the roots say stable; the form's smallest eigenvalue 1.9e-9 is positive but
+    # within PSD_REL_TOL of its largest, so the form says unstable.
+    coefficients = (
+        "-0.22890130618825646+0.25738669186350954j 0.5356787697339849+0.9568813844609072j 1"
+    )
+    code, out, err = run(capsys, "stability", coefficients)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(
+        r"computation failed: the quadratic form's smallest eigenvalue 1\.9\d*e-09 "
+        r"lies inside its relative margin 1e-09\n",
+        err,
+    )
 
 
 @pytest.mark.parametrize(

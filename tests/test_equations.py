@@ -17,6 +17,7 @@ from whindex import (
     zeta_power_realization,
 )
 from whindex.core import opnorm
+from whindex.equations import _disk_map
 from whindex.sampling import random_hurwitz_matrix, random_schur_matrix
 
 
@@ -103,6 +104,26 @@ def test_zeta_of_minus_block_state_map_is_shift():
 def test_zeta_of_minus_pole_rejected():
     with pytest.raises(EvaluationError):
         zeta_of_minus(np.eye(2))
+
+
+@pytest.mark.parametrize("gap, refused", [(1e-13, True), (1e-11, False)])
+def test_zeta_of_minus_refuses_by_the_exact_condition_number(gap, refused):
+    # I - a = diag(gap, 2) has 2-norm condition number 2/gap, against CONDITION_LIMIT = 1e12.
+    a = np.diag([1.0 - gap, -1.0])
+    if refused:
+        with pytest.raises(EvaluationError, match="^an eigenvalue of a is too close to 1"):
+            zeta_of_minus(a)
+    else:
+        assert zeta_of_minus(a)[0, 0] == pytest.approx((2.0 - gap) / gap)
+
+
+def test_disk_map_refuses_only_an_exactly_singular_shift():
+    # No pole test: the caller vouches for I - a, and only ztrtrs's zero pivot is refused.
+    with pytest.raises(EvaluationError, match=r"^I - a is exactly singular \(ztrtrs info 1\)$"):
+        _disk_map(schur_form(np.eye(2)))
+    # zeta_of_minus refuses this a; 1 - a[0, 0] keeps two digits of 1e-13.
+    near_pole = _disk_map(schur_form(np.diag([1.0 - 1e-13, -1.0])))
+    assert near_pole[0, 0] == pytest.approx(2e13, rel=1e-2)
 
 
 def test_eigenvalue_one_multiplicity_examples():

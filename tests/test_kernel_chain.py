@@ -22,11 +22,12 @@ from whindex import (
     negative_profile,
     positive_profile,
     unitary_twist,
+    validate_stable_dissipative,
     winding_number,
     zeta_of_minus,
 )
 from whindex import core, errors, indices
-from whindex.equations import CLUSTER_TOL, schur_form
+from whindex.equations import CLUSTER_TOL, _disk_map, schur_form
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
 #: Degrees of the acceptance sweep and the cyclic shifts pairing them.
@@ -155,6 +156,48 @@ def test_chain_step_refuses_a_stretching_map():
     with pytest.raises(ContractionViolationError) as info:
         indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), CLUSTER_TOL)
     assert abs(info.value.eigenvalue - 1.25) < 1e-12
+
+
+def test_disk_map_defect_is_the_balance_defect_seen_through_the_resolvent():
+    # With E = a + a* + c*c and R = (I - a)^{-1}, M*M + c_d*c_d - I = 2 R* E R
+    # exactly, and |R| <= 1/(1 - |E|/2).  Each factor gets a Hermitian
+    # perturbation that leaves E of 2-norm VALIDATION_TOL/2, so it validates.
+    rng = np.random.default_rng(3112)
+    for _ in range(40):
+        size = int(rng.integers(1, 4))
+        specs = [random_blaschke_spec(rng, int(rng.integers(1, 9))) for _ in range(size)]
+        r = direct_sum(*(blaschke_realization(spec) for spec in specs))
+        r = unitary_twist(r, random_unitary(rng, size), "left")
+        n = r.state_dim
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (x + x.conj().T) / np.linalg.norm(x + x.conj().T, 2)
+        w = Realization(r.a - 0.25 * core.VALIDATION_TOL * h, r.b, r.c, r.d)
+        assert validate_stable_dissipative(w).verdict
+        e = w.a + w.a.conj().T + w.c.conj().T @ w.c
+        size_e = np.linalg.norm(e, 2)
+        resolvent = np.linalg.inv(np.eye(n) - w.a)
+        assert np.linalg.norm(resolvent, 2) <= 1 / (1 - size_e / 2)
+        m = _disk_map(schur_form(w.a))
+        c_d = np.sqrt(2.0) * w.c @ resolvent
+        defect = m.conj().T @ m + c_d.conj().T @ c_d - np.eye(n)
+        expected = 2 * resolvent.conj().T @ e @ resolvent
+        assert np.linalg.norm(defect - expected, 2) <= 1e-4 * np.linalg.norm(expected, 2)
+        assert np.linalg.norm(expected, 2) <= 2 * size_e / (1 - size_e / 2) ** 2
+
+
+def test_isometry_certificate_needs_a_bound_small_factors_and_room_in_tol():
+    continuous = diagonal_symbol_factors([-8, 8]).w
+    discrete = c2d(continuous)
+    large = diagonal_symbol_factors([-128, 128]).w
+    tol, delta = CLUSTER_TOL, core.VALIDATION_TOL
+    for w in (continuous, discrete):
+        sw = schur_form(w.a)
+        assert indices._isometry_certified(w, sw, tol, delta)
+        # No bound, or no room for 2 delta (continuous) or delta (discrete) within tol/2.
+        assert not indices._isometry_certified(w, sw, tol, None)
+        assert not indices._isometry_certified(w, sw, 1e-9, delta)
+    # The rounding bound grows with n, m and |t|_F: 128 states with |t|_F = 181 exceed it.
+    assert not indices._isometry_certified(large, schur_form(large.a), tol, delta)
 
 
 def test_step_zero_refuses_a_coupling_that_stretches():
@@ -325,7 +368,41 @@ def _sweep_pairs(seed):
             yield random_blaschke_spec(rng, f), random_blaschke_spec(rng, g)
 
 
-def test_blaschke_sweep_degrees_8_to_20():
+def _gram_defect(w, sw):
+    """|M*M + c_d*c_d - I|_2 of the chain's computed [M; c_d], as its exact rule computes it."""
+    if w.flavor == DISCRETE:
+        m, rows = w.a, w.c
+    else:
+        m = _disk_map(sw)
+        rows = (w.c + w.c @ m) / np.sqrt(2.0)
+    gram = m.conj().T @ m + rows.conj().T @ rows
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
+
+
+def _audit_certificate(monkeypatch):
+    """Where the chain's certificate skips the isometry check, compute the Gram
+    defect the check would have computed; returns the list of (defect, tol)."""
+    skipped = []
+    certified = indices._isometry_certified
+
+    def audited(w, sw, tol, delta):
+        if not certified(w, sw, tol, delta):
+            return False
+        skipped.append((_gram_defect(w, sw), tol))
+        return True
+
+    monkeypatch.setattr(indices, "_isometry_certified", audited)
+    return skipped
+
+
+def _assert_certificate_held(skipped):
+    # It skipped no check that the exact rule, which refuses above tol, would fail.
+    print(f"{len(skipped)} isometry checks skipped, largest defect {max(skipped)[0]:.1e}")
+    assert all(defect <= tol / 2 for defect, tol in skipped)
+
+
+def test_blaschke_sweep_degrees_8_to_20(monkeypatch):
+    skipped = _audit_certificate(monkeypatch)
     pairs = [spec for seed in SWEEP_SEEDS for spec in _sweep_pairs(seed)]
     failures = 0
     for phi, m in pairs:
@@ -341,6 +418,7 @@ def test_blaschke_sweep_degrees_8_to_20():
         assert winding_number(phi, m) == phi.degree - m.degree
     print(f"{len(pairs)} Blaschke pairs of degree 8-20, {failures} PipelineError")
     assert failures <= SWEEP_MAX_FAILURES
+    _assert_certificate_held(skipped)
 
 
 def _near_axis_pair(eps):
@@ -376,7 +454,8 @@ def _scalar_pair(phi, m):
     return SymbolPair(blaschke_realization(phi), blaschke_realization(m))
 
 
-def test_blaschke_sweep_degrees_21_to_40():
+def test_blaschke_sweep_degrees_21_to_40(monkeypatch):
+    skipped = _audit_certificate(monkeypatch)
     pairs = list(_random_specs(3107, DEEP_PAIRS, DEEP_DEGREES))
     failures = 0
     for phi, m in pairs:
@@ -394,6 +473,7 @@ def test_blaschke_sweep_degrees_21_to_40():
         assert winding_number(phi, m) == phi.degree - m.degree
     print(f"{2 * len(pairs)} Blaschke profiles of degree 21-40, {failures} PipelineError")
     assert failures <= DEEP_MAX_FAILURES
+    _assert_certificate_held(skipped)
 
 
 def _stepwise_chain(basis, w, sw, tol):

@@ -395,9 +395,9 @@ def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
     Gramians, one SVD for omega and one for its residual norm.  A chain that
     runs makes one SVD per step for m > 1, and one QR of its images and no
     SVD for m = 1.  A continuous side whose chain runs evaluates the disk
-    map: two condition estimates and one triangular solve.  A discrete
-    profile inverts two shifted Schur factors for the Cayley factors of its
-    Stein solve instead."""
+    map by one triangular solve and no condition estimate: validation of the
+    factor proves it has no pole.  A discrete profile inverts two shifted
+    Schur factors for the Cayley factors of its Stein solve instead."""
     counter = _LapackCounter(core._lapack())
     for module in (equations, core, indices):
         monkeypatch.setattr(module, "_lapack", lambda: counter)
@@ -410,11 +410,13 @@ def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
             profile = full_profile(flavored)
             dims = [profile.negative_trace.kernel_dims, profile.positive_trace.kernel_dims]
             steps, running = sum(len(d) - 1 for d in dims), sum(d[0] > 0 for d in dims)
-            budget = {"zgees": 2, "ztrsyl": 3, "zgesdd": 2 + (0 if scalar else steps)}
+            budget = {"zgees": 2, "ztrsyl": 3, "ztrcon": 0, "zgesdd": 2 + (0 if scalar else steps)}
             budget.update({"zgeqrf": running} if scalar and running else {})
-            budget.update({"ztrtri": 2} if discrete else {"ztrcon": 2 * running, "ztrtrs": running})
-            assert {name: count for name, count in counter.calls.items()
-                    if not name.endswith("_lwork")} == budget
+            budget.update({"ztrtri": 2} if discrete else {"ztrtrs": running})
+            # Counters compare a missing routine as zero calls, as ztrcon's must be.
+            calls = {name: count for name, count in counter.calls.items()
+                     if not name.endswith("_lwork")}
+            assert collections.Counter(calls) == collections.Counter(budget)
             decompositions[discrete].append((budget["zgesdd"], budget.get("zgeqrf", 0)))
     assert decompositions[False] == decompositions[True] == [(8, 0), (34, 0), (2, 1)]
 
