@@ -343,6 +343,10 @@ def main(argv=None) -> int:
     except _COMPUTE_ERRORS as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
         return EXIT_COMPUTE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's message names the array
+        sys.stderr.write(f"computation failed: out of memory{detail}\n")
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

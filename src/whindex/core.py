@@ -27,7 +27,7 @@ from .errors import EvaluationError, StructureError
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
-#: Default tolerance for validation verdicts.
+#: Tolerance of every validation verdict, the pipeline's and the public validators'.
 VALIDATION_TOL = 1e-8
 
 #: Realizations whose rightmost eigenvalue is closer to the axis than this
@@ -283,34 +283,34 @@ def _balance_defects(r: Realization) -> tuple[np.ndarray, ...]:
     return r.a + r.a.conj().T + ch @ r.c, _minus_identity(r.d.conj().T @ r.d), r.b + ch @ r.d
 
 
-def validate_stable_dissipative(r: Realization, tol: float = VALIDATION_TOL) -> ValidationReport:
+def validate_stable_dissipative(r: Realization) -> ValidationReport:
     """Check that a continuous realization is stable with the inner-function energy balance.
 
     Stability means every eigenvalue of ``a`` lies strictly in the open left
     half plane.  The three residuals measure ``a + a* + c*c = 0``, unitarity
-    of ``d`` and the coupling ``b = -c*d``.
+    of ``d`` and the coupling ``b = -c*d``; the verdict holds them to
+    ``VALIDATION_TOL``, as ``full_profile`` does.
     """
     if r.flavor != CONTINUOUS:
         raise StructureError("validate_stable_dissipative expects a continuous realization")
-    return _validation_report(r, np.linalg.eigvals(r.a), tol)
+    return _validation_report(r, np.linalg.eigvals(r.a))
 
 
-def validate_stable_unitary(r: Realization, tol: float = VALIDATION_TOL) -> ValidationReport:
+def validate_stable_unitary(r: Realization) -> ValidationReport:
     """Check that a discrete realization is stable with a unitary system matrix.
 
     Stability means all eigenvalues of ``a`` lie strictly inside the unit
     disk.  The governing residual is ``|S*S - I|`` for the stacked system
     matrix ``S = [[a, b], [c, d]]``; its diagonal and off-diagonal blocks are
-    reported individually as well.
+    reported individually as well.  The verdict holds it to ``VALIDATION_TOL``,
+    as ``full_profile`` does.
     """
     if r.flavor != DISCRETE:
         raise StructureError("validate_stable_unitary expects a discrete realization")
-    return _validation_report(r, np.linalg.eigvals(r.a), tol)
+    return _validation_report(r, np.linalg.eigvals(r.a))
 
 
-def _validation_report(
-    r: Realization, eigenvalues: np.ndarray, tol: float = VALIDATION_TOL
-) -> ValidationReport:
+def _validation_report(r: Realization, eigenvalues: np.ndarray) -> ValidationReport:
     """``validate_stable_dissipative`` or ``validate_stable_unitary`` of ``r``, by its
     flavor, given the eigenvalues of ``a``.
 
@@ -324,14 +324,13 @@ def _validation_report(
         full = opnorm(defect)
         # The state, feedthrough and coupling blocks of S*S - I, in the report's order.
         blocks = (opnorm(defect[:n, :n]), opnorm(defect[n:, n:]), opnorm(defect[:n, n:]))
-        return ValidationReport(
-            stable, *blocks, stable and full <= tol, near_marginal, system_unitarity_residual=full
-        )
+        return ValidationReport(stable, *blocks, stable and full <= VALIDATION_TOL,
+                                near_marginal, system_unitarity_residual=full)
     energy, feed, coup = defects
     # a + a* + c*c is Hermitian, so its 2-norm is its largest eigenvalue magnitude.
     diss = float(np.abs(np.linalg.eigvalsh(energy)).max()) if energy.size else 0.0
     feed, coup = opnorm(feed), opnorm(coup)
-    verdict = stable and diss <= tol and feed <= tol and coup <= tol
+    verdict = stable and all(x <= VALIDATION_TOL for x in (diss, feed, coup))
     return ValidationReport(stable, diss, feed, coup, verdict, near_marginal)
 
 
@@ -415,20 +414,21 @@ def cascade(outer: Realization, inner: Realization) -> Realization:
     return Realization(a, b, c, d, outer.flavor)
 
 
-def _check_unitary(u, m: int, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """``u`` as a complex array if it is a finite m x m matrix unitary within ``tol``."""
+def _check_unitary(u, m: int) -> np.ndarray:
+    """``u`` as a complex array if it is a finite m x m matrix unitary within ``VALIDATION_TOL``."""
     u = _finite(np.atleast_2d(np.asarray(u, dtype=complex)), "twist matrix")
     if u.shape != (m, m):
         raise StructureError(f"twist matrix must be {m}x{m}, got {u.shape}")
     defect = _minus_identity(u.conj().T @ u)
-    if not _screen(_frobenius(defect), tol) and opnorm(defect) > tol:
+    if not _screen(_frobenius(defect), VALIDATION_TOL) and opnorm(defect) > VALIDATION_TOL:
         raise StructureError("twist matrix is not unitary within tolerance")
     return u
 
 
-def unitary_twist(r: Realization, u: np.ndarray, side: str, tol: float = VALIDATION_TOL) -> Realization:
-    """Multiply the transfer function by a constant unitary: U*Theta (left) or Theta*U (right)."""
-    u = _check_unitary(u, r.output_dim, tol)
+def unitary_twist(r: Realization, u: np.ndarray, side: str) -> Realization:
+    """Multiply the transfer function by a constant unitary: U*Theta (left) or Theta*U (right).
+    ``u`` must be unitary within ``VALIDATION_TOL``, the 2-norm of u*u - I."""
+    u = _check_unitary(u, r.output_dim)
     if side == "left":
         return Realization(r.a, r.b, u @ r.c, u @ r.d, r.flavor)
     if side == "right":

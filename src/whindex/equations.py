@@ -100,9 +100,9 @@ class SchurForm:
 
     t is upper triangular and u unitary.  With ``adjoint`` set the object
     stands for ``a*`` instead, so a matrix and its adjoint share one
-    factorization.  The solvers and ``zeta_of_minus`` accept a SchurForm
-    wherever they accept the matrix it stands for, and then reuse the
-    factorization.  Everything else is computed from it where it is read.
+    factorization.  The solvers accept a SchurForm wherever they accept the
+    matrix it stands for, and then reuse the factorization.  Everything else
+    is computed from it where it is read.
     """
 
     a: np.ndarray
@@ -356,12 +356,12 @@ def zeta_of_minus(a: np.ndarray) -> np.ndarray:
     """Evaluate the half-plane-to-disk map (1-s)/(1+s) at ``-a``.
 
     Returns ``(I + a)(I - a)^{-1}``, computed as ``u (I - t)^{-1}(I + t) u*``
-    from the Schur form of ``a``; ``a`` may be given as a ``SchurForm``.
-    For Hurwitz-stable ``a`` every eigenvalue lands strictly inside the unit
-    disk.  A pole is refused where the 2-norm condition number of I - a, the
-    ratio of its extreme singular values, exceeds ``CONDITION_LIMIT``.
+    from the Schur form of ``a``.  For Hurwitz-stable ``a`` every eigenvalue
+    lands strictly inside the unit disk.  A pole is refused where the 2-norm
+    condition number of I - a, the ratio of its extreme singular values,
+    exceeds ``CONDITION_LIMIT``.
     """
-    f = _factored(a)
+    f = schur_form(a)
     if len(f.t) == 0:
         return np.zeros((0, 0), dtype=complex)
     s = _svd(np.eye(len(f.t)) - f.t, compute_uv=False)  # u is unitary: those of I - a

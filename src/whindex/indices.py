@@ -20,9 +20,10 @@ M^k Q M*^k with M the disk map of -a_w.  Its drops mu_k = d_{k-1} - d_k
 are the conjugate partition of the indices, mu_k = #{j : kappa_j >= k}, so
 they are positive and non-increasing, and the chain refuses any step that
 breaks this.  The indices are recovered by counting kappa_j = #{k : mu_k >= j},
-and then sum to d_0.  The positive side runs the same chain from its own N_0
-with the map of the V factor.  The two sums must balance the state
-dimensions: sum(all_indices) = n_v - n_w.
+and then sum to sum(mu) = d_0, as the chain ends at 0.  The positive side runs
+the same chain from its own N_0 with the map of the V factor.  Both d_0 come
+from the one cut r of step 0, n_w - r on the negative side and n_v - r on the
+positive one, so sum(all_indices) = n_v - n_w holds by construction.
 
 The same pipeline serves discrete pairs, stable unitary realizations of the
 Cayley images of the factors.  Their flavor selects the fixed-point form
@@ -374,8 +375,9 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     brought to Schur form once.  One coupling solve and one SVD of omega give
     step 0 of both sides: Q = I - omega* omega for the negative side and
     I - omega omega* for the positive one, whose coupling is omega*.  The
-    indices must sum to n_v - n_w, the degree of det V minus that of det W,
-    as both realizations are minimal.
+    indices sum to n_v - n_w by construction (module docstring), the degree of
+    det V minus that of det W for minimal factors; the one cross-side check
+    that can fail is that both sides' nonzero indices fit in the m outputs.
     """
     sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
@@ -393,11 +395,6 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         )
     zeros = m - p - q_count
     all_indices = sorted([-k for k in kappa] + [0] * zeros + list(omegas))
-
-    dim_w, dim_v = pair.w.state_dim, pair.v.state_dim
-    if sum(all_indices) != dim_v - dim_w:
-        raise PipelineError(f"indices {all_indices} do not sum to n_v - n_w = {dim_v - dim_w}")
-
     margins = {
         # Distance of the eigenvalues of each contraction to the cut 1 - tol.
         side: float(np.abs(trace.q_eigenvalues - (1.0 - tol)).min())

@@ -87,9 +87,9 @@ class Polynomial:
         return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
 
     @classmethod
-    def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
-        """Monic-times-``leading`` polynomial with the given roots."""
-        coeffs = np.array([complex(leading)])
+    def from_roots(cls, roots) -> "Polynomial":
+        """Monic polynomial with the given roots."""
+        coeffs = np.array([1.0 + 0.0j])
         for root in roots:
             coeffs = np.convolve(coeffs, np.array([-complex(root), 1.0]))
         return cls(tuple(coeffs))
@@ -241,13 +241,12 @@ def recover_blaschke_pointwise(
     phi: BlaschkeSpec,
     x: np.ndarray,
     s: complex,
-    tol: float = CLUSTER_TOL,
 ) -> complex:
     """Reconstruct a Blaschke product value from a unit-defect vector.
 
     Requires ``a`` stable dissipative with ``a + a* + c*c = 0`` (so ``a + a*``
     has rank one), ``deg(phi) < dim(a)`` and a nonzero ``x`` fixed by
-    ``phi(-a*)* phi(-a*)``.  Returns
+    ``phi(-a*)* phi(-a*)`` to within ``CLUSTER_TOL`` |x|.  Returns
     ``c (sI - a)^{-1} phi(-a*) x  /  c (sI - a)^{-1} x``, which equals
     ``phi(s)`` wherever the denominator is nonzero.
     """
@@ -268,9 +267,9 @@ def recover_blaschke_pointwise(
         raise PreconditionError("x must be nonzero")
     evaluated = blaschke_eval_at_minus(phi, a.conj().T)
     drift = np.linalg.norm(evaluated.conj().T @ (evaluated @ x) - x)
-    if drift > tol * norm_x:
+    if drift > CLUSTER_TOL * norm_x:
         raise PreconditionError(
-            f"x is not fixed by phi(-a*)* phi(-a*) at tolerance {tol} (defect {drift:.3e})"
+            f"x is not fixed by phi(-a*)* phi(-a*) at tolerance {CLUSTER_TOL} (defect {drift:.3e})"
         )
     resolvent_arg = complex(s) * np.eye(n) - a
     try:

@@ -3,6 +3,8 @@
 Everything takes an explicit numpy Generator so the verification battery and
 the test suite stay reproducible from a single seed.  A generator built by a
 shorter route than the one it names draws the same stream and the same bits.
+Each generator draws from one fixed law (one pole box, fixed margins); a
+caller chooses only sizes and degrees.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 from .core import Realization, SymbolPair, _block_diag, _check_unitary
 from .realizations import BlaschkeSpec, Polynomial, _blaschke_blocks
 
-#: Pole box used when nothing else is requested: comfortably off the axis.
+#: Pole box of every generator: comfortably off the axis.
 POLE_RE_RANGE = (-3.0, -0.1)
 POLE_IM_SPAN = 3.0
 
@@ -27,19 +29,15 @@ def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
     return q * phases
 
 
-def random_pole(rng: np.random.Generator, re_range=POLE_RE_RANGE, im_span=POLE_IM_SPAN) -> complex:
-    return complex(rng.uniform(*re_range), rng.uniform(-im_span, im_span))
+def random_pole(rng: np.random.Generator) -> complex:
+    """Uniform pole in the box ``POLE_RE_RANGE`` x ``[-POLE_IM_SPAN, POLE_IM_SPAN]``."""
+    return complex(rng.uniform(*POLE_RE_RANGE), rng.uniform(-POLE_IM_SPAN, POLE_IM_SPAN))
 
 
-def random_blaschke_spec(
-    rng: np.random.Generator,
-    degree: int,
-    re_range=POLE_RE_RANGE,
-    im_span=POLE_IM_SPAN,
-) -> BlaschkeSpec:
+def random_blaschke_spec(rng: np.random.Generator, degree: int) -> BlaschkeSpec:
+    """Uniform unimodular constant and ``degree`` poles from ``random_pole``."""
     rho = complex(np.exp(2j * np.pi * rng.uniform()))
-    poles = tuple(random_pole(rng, re_range, im_span) for _ in range(degree))
-    return BlaschkeSpec(rho, poles)
+    return BlaschkeSpec(rho, tuple(random_pole(rng) for _ in range(degree)))
 
 
 def random_mimo_realization(
@@ -64,38 +62,36 @@ def random_symbol_pair(
     )
 
 
-def random_hurwitz_matrix(rng: np.random.Generator, n: int, margin: float = 0.2) -> np.ndarray:
-    """Random dense matrix with spectrum shifted strictly into the left half plane."""
+def random_hurwitz_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random dense matrix with spectrum shifted 0.2 left of the imaginary axis."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     top = float(np.linalg.eigvals(g).real.max()) if n else 0.0
-    return g - (top + margin) * np.eye(n)
+    return g - (top + 0.2) * np.eye(n)
 
 
-def random_schur_matrix(rng: np.random.Generator, n: int, radius: float = 0.8) -> np.ndarray:
-    """Random dense matrix rescaled to spectral radius at most ``radius``."""
+def random_schur_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random dense matrix rescaled to spectral radius at most 0.8."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = float(np.abs(np.linalg.eigvals(g)).max()) if n else 0.0
     if rho == 0.0:
         return g
-    return g * (radius * rng.uniform(0.3, 1.0) / rho)
+    return g * (0.8 * rng.uniform(0.3, 1.0) / rho)
 
 
-def random_polynomial(rng: np.random.Generator, degree: int, min_leading: float = 0.1) -> Polynomial:
-    """Coefficients from the complex unit box; the leading one bounded away from zero."""
+def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:
+    """Coefficients from the complex unit box; the leading one of modulus at least 0.1."""
     coeffs = rng.uniform(-1.0, 1.0, degree + 1) + 1j * rng.uniform(-1.0, 1.0, degree + 1)
-    while abs(coeffs[-1]) < min_leading:
+    while abs(coeffs[-1]) < 0.1:
         coeffs[-1] = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
     return Polynomial(tuple(coeffs))
 
 
-def random_polynomial_off_axis(
-    rng: np.random.Generator, degree: int, exclusion: float = 1e-6
-) -> Polynomial:
-    """Unit-box polynomial whose roots all have |Re| above the exclusion band."""
+def random_polynomial_off_axis(rng: np.random.Generator, degree: int) -> Polynomial:
+    """Unit-box polynomial whose roots all have |Re| above 1e-6."""
     while True:
         p = random_polynomial(rng, degree)
         roots = np.roots(np.asarray(p.coeffs[::-1]))
-        if np.all(np.abs(roots.real) > exclusion):
+        if np.all(np.abs(roots.real) > 1e-6):
             return p
 
 

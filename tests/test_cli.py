@@ -13,6 +13,18 @@ from whindex.serialize import realization_from_json, realization_to_json
 from whindex import zeta_power_realization
 
 
+#: ``whindex example dss``'s report, exact on any BLAS: omega = 0, so the
+#: residual is 0.0 and every eigenvalue of Q is 1.0.
+DSS_REPORT = (
+    '{"all_indices":[-4,-2,0,3,5],"diagnostics":{"cross_check_margins":'
+    '{"negative":9.9999999947364415e-08,"positive":9.9999999947364415e-08},"q_eigenvalues":'
+    '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
+    '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
+    '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.2.0","zeros":1}\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -439,6 +451,7 @@ def test_example_command(tmp_path, capsys):
     report_path = tmp_path / "dss.report.json"
     assert problem_path.exists() and report_path.exists()
     assert json.loads(problem_path.read_text())["powers"] == [-4, -2, 0, 3, 5]
+    assert report_path.read_text() == DSS_REPORT
 
     # The emitted expected report matches a fresh indices run bit for bit.
     code, fresh, _ = run(capsys, "indices", str(problem_path))
@@ -447,6 +460,22 @@ def test_example_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "example", "nope", "--output", str(tmp_path))
     assert code == 2
+
+
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import whindex.cli as cli
+
+    message = ("Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+               "and data type complex128")
+
+    def exhausted(pair, tol):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "full_profile", exhausted)
+    path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [-1, 1]})
+    expected = f"computation failed: out of memory: {message}\n"
+    assert run(capsys, "indices", path) == (3, "", expected)
+    assert run(capsys, "example", "dss", "--output", str(tmp_path)) == (3, "", expected)
 
 
 def test_verify_defaults_to_the_battery_seed(capsys, monkeypatch):

@@ -8,7 +8,6 @@ from whindex import (
     DISCRETE,
     BlaschkeSpec,
     InputValidationError,
-    PipelineError,
     Realization,
     StructureError,
     SymbolPair,
@@ -287,21 +286,6 @@ def test_full_profile_of_discrete_pairs_matches_continuous():
             # Both flavors solve for the same coupling omega.
             omega = continuous.negative_trace.omega
             assert opnorm(discrete.negative_trace.omega - omega) <= 1e-10 * (1.0 + opnorm(omega))
-
-
-def test_full_profile_refuses_indices_that_miss_the_degree_difference(monkeypatch):
-    # The negative chain [3, 2, 1, 0] of diag(-3, 1) skips its last step and
-    # reads [3, 2, 0]: kappa becomes (2,), so the indices (-2, 1) sum to -1,
-    # not n_v - n_w = 1 - 3.  Every earlier check still passes.
-    chain = indices._kernel_dimension_chain
-
-    def skip_a_step(basis, *args):
-        dims = chain(basis, *args)
-        return dims[:-2] + [0] if len(dims) > 3 else dims
-
-    monkeypatch.setattr(indices, "_kernel_dimension_chain", skip_a_step)
-    with pytest.raises(PipelineError, match=r"\[-2, 1\] do not sum to n_v - n_w = -2"):
-        full_profile(diagonal_symbol_factors([-3, 1]))
 
 
 def test_contraction_is_identity_minus_the_coupling_gram():

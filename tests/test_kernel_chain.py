@@ -487,7 +487,7 @@ def _stepwise_chain(basis, w, sw, tol):
     if w.flavor == DISCRETE:
         m, rows = w.a, w.c
     else:
-        m = zeta_of_minus(sw)
+        m = _disk_map(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
     yh = np.empty((dims[0], dims[0]), dtype=complex)
     yt = np.empty(yh.shape, dtype=complex)
