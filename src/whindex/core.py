@@ -59,11 +59,11 @@ def _lapack():
 
 
 @functools.cache
-def _gesdd_lwork(prefix: str, rows: int, cols: int, compute_uv: bool, full_matrices: bool) -> int:
-    """Optimal workspace of ``<prefix>gesdd``, which numpy queries too.  The wrappers'
-    smaller default sends LAPACK down other paths: the factors of a 48 x 48
-    complex matrix already differ from numpy's in their last bits."""
-    work, _ = getattr(_lapack(), prefix + "gesdd_lwork")(rows, cols, compute_uv, full_matrices)
+def _lwork(routine: str, *args) -> int:
+    """Optimal workspace of the LAPACK ``routine`` for ``args``, the one numpy queries too.
+    The wrappers' smaller default sends LAPACK down other paths: the SVD factors
+    of a 48 x 48 complex matrix already differ from numpy's in their last bits."""
+    work, _ = getattr(_lapack(), routine + "_lwork")(*args)
     return int(work.real)
 
 
@@ -83,7 +83,7 @@ def _svd(x: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
         dtype = complex if prefix == "z" else float
         k = 1 if full_matrices else 0
         return np.eye(rows, k * rows, dtype=dtype), s, np.eye(k * cols, cols, dtype=dtype)
-    lapack, lwork = _lapack(), _gesdd_lwork(prefix, rows, cols, compute_uv, full_matrices)
+    lapack, lwork = _lapack(), _lwork(prefix + "gesdd", rows, cols, compute_uv, full_matrices)
     gesdd = lapack.zgesdd if prefix == "z" else lapack.dgesdd
     u, s, vh, info = gesdd(x, compute_uv, full_matrices, lwork)
     if info != 0:

@@ -12,6 +12,7 @@ builder has to check its result.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .core import (
     Realization,
     SymbolPair,
     VALIDATION_TOL,
-    _block_diag,
+    _empty,
     _svd,
     hermitize,
     opnorm,
@@ -107,15 +108,30 @@ def zeta_power_realization(n: int) -> Realization:
     return Realization(*_zeta_power_blocks(n), CONTINUOUS)
 
 
-def _zeta_power_blocks(n: int) -> tuple[np.ndarray, ...]:
-    """The arrays (a, b, c, d) of ``zeta_power_realization(n)``; n = 0 gives the constant 1."""
-    a = -np.eye(n, dtype=complex)
-    if n > 1:  # adding a 1 x 1 zero would flip the sign of the zero imaginary part
-        offset = np.arange(n) - np.arange(n)[:, None]  # j - i at entry (i, j)
-        a += np.triu(np.where(offset % 2, 2.0, -2.0), 1)
-    b = _SQRT2 * np.array([[(-1.0) ** (n - 1 - i)] for i in range(n)], dtype=complex).reshape(n, 1)
-    c = _SQRT2 * np.array([[(-1.0) ** j for j in range(n)]], dtype=complex)
-    return a, b, c, np.array([[(-1.0) ** n]], dtype=complex)
+def _zeta_power_blocks(*powers: int) -> tuple[np.ndarray, ...]:
+    """The arrays (a, b, c, d) of the direct sum of ``zeta_power_realization(n)`` over
+    ``powers``, written in one pass; a power 0 gives the constant 1.
+
+    The entries are those of the formula in ``zeta_power_realization``.  Every
+    zero imaginary part is +0.0 but that of a power-1 block's one state entry,
+    -0.0, the sign ``-np.eye(1, dtype=complex)`` gives it.
+    """
+    a, b, c, d = blocks = _direct_sum_zeros(powers)
+    a.ravel()[:: len(a) + 1] = -1.0
+    k = 0
+    for i, n in enumerate(powers):
+        alternating = np.ones(n)
+        alternating[1::2] = -1.0  # (-1)^j
+        if n > 1:
+            rows, cols = _strict_upper(n)
+            a.real[k + rows, k + cols] = -2.0 * alternating[cols - rows]
+        elif n == 1:
+            a[k, k] = complex(-1.0, -0.0)
+        b[k : k + n, i] = _SQRT2 * alternating[::-1]
+        c[i, k : k + n] = _SQRT2 * alternating
+        d[i, i] = (-1.0) ** n
+        k += n
+    return blocks
 
 
 def blaschke_realization(spec: BlaschkeSpec) -> Realization:
@@ -136,12 +152,40 @@ def blaschke_realization(spec: BlaschkeSpec) -> Realization:
     return Realization(*_blaschke_blocks(spec), CONTINUOUS)
 
 
-def _blaschke_blocks(spec: BlaschkeSpec) -> tuple[np.ndarray, ...]:
-    """The arrays (a, b, c, d) of ``blaschke_realization(spec)``."""
-    poles = np.array(spec.poles[::-1], dtype=complex)
-    g = np.sqrt(-2.0 * poles.real)
-    a = np.diag(poles) - np.triu(np.outer(g, g), 1)
-    return a, -g[:, None], spec.rho * g[None, :], np.array([[spec.rho]])
+def _blaschke_blocks(*specs: BlaschkeSpec) -> tuple[np.ndarray, ...]:
+    """The arrays (a, b, c, d) of the direct sum of ``blaschke_realization(spec)`` over
+    ``specs``, written in one pass with the entries of its closed form."""
+    a, b, c, d = blocks = _direct_sum_zeros([spec.degree for spec in specs])
+    a.ravel()[:: len(a) + 1] = [pole for spec in specs for pole in spec.poles[::-1]]
+    g = np.sqrt(-2.0 * a.diagonal().real)
+    k = 0
+    for i, spec in enumerate(specs):
+        n = spec.degree
+        part = g[k : k + n]
+        if n > 1:
+            rows, cols = _strict_upper(n)
+            a.real[k + rows, k + cols] = -part[rows] * part[cols]
+        b[k : k + n, i] = -part
+        c[i, k : k + n] = spec.rho * part
+        d[i, i] = spec.rho
+        k += n
+    return blocks
+
+
+def _direct_sum_zeros(dims) -> tuple[np.ndarray, ...]:
+    """Zero arrays (a, b, c, d) for a direct sum of scalar parts of state dimensions ``dims``."""
+    n, m = sum(dims), len(dims)
+    return _empty(n, n), _empty(n, m), _empty(m, n), _empty(m, m)
+
+
+@functools.cache
+def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries above the diagonal of an n x n matrix,
+    read-only, as every caller shares them."""
+    indices = np.triu_indices(n, 1)
+    for x in indices:
+        x.setflags(write=False)
+    return indices
 
 
 def blaschke_eval(spec: BlaschkeSpec, s):
@@ -164,12 +208,8 @@ def diagonal_symbol_factors(powers) -> SymbolPair:
     input order.
     """
     powers = [int(p) for p in powers]
-
-    def factor(sign):
-        blocks = [_zeta_power_blocks(max(sign * p, 0)) for p in powers]
-        return Realization(*(_block_diag([x[k] for x in blocks]) for k in range(4)), CONTINUOUS)
-
-    return SymbolPair(factor(1), factor(-1))
+    v, w = (_zeta_power_blocks(*(max(sign * p, 0) for p in powers)) for sign in (1, -1))
+    return SymbolPair(Realization(*v, CONTINUOUS), Realization(*w, CONTINUOUS))
 
 
 def p_sharp(p: Polynomial) -> Polynomial:

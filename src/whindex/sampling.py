@@ -5,13 +5,19 @@ the test suite stay reproducible from a single seed.  A generator built by a
 shorter route than the one it names draws the same stream and the same bits.
 Each generator draws from one fixed law (one pole box, fixed margins); a
 caller chooses only sizes and degrees.
+
+Decompositions call LAPACK through ``core._lapack``, the routines numpy's
+``np.linalg.qr`` and ``np.linalg.eigvals`` wrap, with the workspace numpy
+queries, so their bits equal numpy's route; the plain-route tests in
+``tests/test_sampling.py`` pin each generator to that route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Realization, SymbolPair, _block_diag, _check_unitary
+from .core import Realization, SymbolPair, _check_unitary, _lapack, _lwork
+from .errors import EvaluationError
 from .realizations import BlaschkeSpec, Polynomial, _blaschke_blocks
 
 #: Pole box of every generator: comfortably off the axis.
@@ -20,13 +26,19 @@ POLE_IM_SPAN = 3.0
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar-distributed m x m unitary matrix."""
+    """Haar-distributed m x m unitary matrix: the Q factor of a complex Gaussian
+    matrix, its columns multiplied by the phases of R's diagonal (Mezzadri 2007)."""
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    # zungqr's optimal workspace is zgeqrf's, m times LAPACK's block size.  Neither
+    # routine has a failure to report: their only nonzero info is a bad argument.
+    lapack, lwork = _lapack(), _lwork("zgeqrf", m, m)
+    qr, tau, _, _ = lapack.zgeqrf(z, lwork=lwork, overwrite_a=True)
+    r = qr.diagonal()
+    phases = r / np.abs(r)  # before zungqr overwrites qr with Q
+    q, _, _ = lapack.zungqr(qr, tau, lwork=lwork, overwrite_a=True)
+    return np.multiply(q, phases, order="C")
 
 
 def random_pole(rng: np.random.Generator) -> complex:
@@ -46,8 +58,7 @@ def random_mimo_realization(
     """Random m x m inner function, ``unitary_twist(unitary_twist(direct_sum(*scalars), u,
     "left"), v, "right")`` for m scalar Blaschke realizations of random degree, then u and v."""
     specs = [random_blaschke_spec(rng, int(rng.integers(0, max_block_degree + 1))) for _ in range(m)]
-    blocks = [_blaschke_blocks(spec) for spec in specs]
-    a, b, c, d = (_block_diag([x[k] for x in blocks]) for k in range(4))
+    a, b, c, d = _blaschke_blocks(*specs)
     u, v = (_check_unitary(random_unitary(rng, m), m) for _ in range(2))
     return Realization(a, b @ v, u @ c, u @ d @ v)
 
@@ -65,17 +76,26 @@ def random_symbol_pair(
 def random_hurwitz_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random dense matrix with spectrum shifted 0.2 left of the imaginary axis."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    top = float(np.linalg.eigvals(g).real.max()) if n else 0.0
+    top = float(_eigvals(g).real.max()) if n else 0.0
     return g - (top + 0.2) * np.eye(n)
 
 
 def random_schur_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random dense matrix rescaled to spectral radius at most 0.8."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = float(np.abs(np.linalg.eigvals(g)).max()) if n else 0.0
+    rho = float(np.abs(_eigvals(g)).max()) if n else 0.0
     if rho == 0.0:
         return g
     return g * (0.8 * rng.uniform(0.3, 1.0) / rho)
+
+
+def _eigvals(g: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(g)`` of a square complex g, by one call of LAPACK zgeev."""
+    lwork = _lwork("zgeev", len(g), 0, 0)
+    w, _, _, info = _lapack().zgeev(g, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info:
+        raise EvaluationError(f"eigenvalues did not converge (zgeev info {info})")
+    return w
 
 
 def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:

@@ -33,8 +33,9 @@ def complex_from_json(value, where: str = "value") -> complex:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
+    """Rows of ``[re, im]`` pairs, each entry as ``complex_to_json`` writes it."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:

@@ -149,17 +149,15 @@ def _equation_residuals(rng, cases):
         a = random_hurwitz_matrix(rng, p)
         b = random_hurwitz_matrix(rng, q)
         sol = solve_sylvester(a, b, c)
-        bound = 1e-10 * (
-            1.0 + opnorm(a) * opnorm(sol.x) + opnorm(b) * opnorm(sol.x) + opnorm(c)
-        )
+        x = opnorm(sol.x)
+        bound = 1e-10 * (1.0 + opnorm(a) * x + opnorm(b) * x + opnorm(c))
         if sol.residual > bound:
             return {"case": k, "what": "sylvester", "residual": sol.residual, "bound": bound}
         ad = random_schur_matrix(rng, p)
         bd = random_schur_matrix(rng, q)
         sol = solve_stein(ad, bd, c)
-        bound = 1e-10 * (
-            1.0 + opnorm(ad) * opnorm(sol.x) + opnorm(bd) * opnorm(sol.x) + opnorm(c)
-        )
+        x = opnorm(sol.x)
+        bound = 1e-10 * (1.0 + opnorm(ad) * x + opnorm(bd) * x + opnorm(c))
         if sol.residual > bound:
             return {"case": k, "what": "stein", "residual": sol.residual, "bound": bound}
     return None

@@ -68,6 +68,19 @@ def test_report_serialization_round_trips(tmp_path, capsys):
     assert canonical_json(json.loads(text)) == text
 
 
+def test_matrix_to_json_writes_each_entry_as_complex_to_json():
+    from whindex.serialize import canonical_json, complex_to_json, matrix_to_json
+
+    rng = np.random.default_rng(4107)
+    signed_zeros = np.array([[0.0, -0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]])
+    dense = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    for m in [signed_zeros, dense, dense.T, np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0)),
+              -2.5, [1, -0.0], np.ones((2, 2), dtype=int)]:
+        plain = [[complex_to_json(z) for z in row] for row in np.atleast_2d(np.asarray(m, dtype=complex))]
+        assert canonical_json(matrix_to_json(m)) == canonical_json(plain)
+    assert canonical_json(matrix_to_json(signed_zeros)).count("-0.0") == 4
+
+
 def test_indices_tol_flag(tmp_path, capsys):
     path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [-1]})
     code, out, _ = run(capsys, "indices", path, "--tol", "1e-5")

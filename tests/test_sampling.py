@@ -12,12 +12,21 @@ import pytest
 
 from whindex.core import Realization, constant_realization, direct_sum, unitary_twist
 from whindex.oracle import schur_cohen_stable
-from whindex.realizations import blaschke_realization, diagonal_symbol_factors, zeta_power_realization
+from whindex.realizations import (
+    BlaschkeSpec,
+    _blaschke_blocks,
+    _zeta_power_blocks,
+    blaschke_realization,
+    diagonal_symbol_factors,
+    zeta_power_realization,
+)
 from whindex.sampling import (
     random_blaschke_spec,
+    random_hurwitz_matrix,
     random_mimo_realization,
     random_polynomial_off_axis,
     random_rank_one_dissipative,
+    random_schur_matrix,
     random_unitary,
 )
 
@@ -46,6 +55,85 @@ def _clone(seed):
 
 def _same_stream(rng, clone):
     return rng.bit_generator.state == clone.bit_generator.state and rng.uniform() == clone.uniform()
+
+
+def _numpy_unitary(rng, m):
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex)
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
+
+
+def _numpy_hurwitz_matrix(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    top = float(np.linalg.eigvals(g).real.max()) if n else 0.0
+    return g - (top + 0.2) * np.eye(n)
+
+
+def _numpy_schur_matrix(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = float(np.abs(np.linalg.eigvals(g)).max()) if n else 0.0
+    if rho == 0.0:
+        return g
+    return g * (0.8 * rng.uniform(0.3, 1.0) / rho)
+
+
+def _triu_blaschke_blocks(spec):
+    poles = np.array(spec.poles[::-1], dtype=complex)
+    g = np.sqrt(-2.0 * poles.real)
+    a = np.diag(poles) - np.triu(np.outer(g, g), 1)
+    return a, -g[:, None], spec.rho * g[None, :], np.array([[spec.rho]])
+
+
+def _toeplitz_zeta_power_blocks(n):
+    a = -np.eye(n, dtype=complex)
+    if n > 1:
+        offset = np.arange(n) - np.arange(n)[:, None]
+        a += np.triu(np.where(offset % 2, 2.0, -2.0), 1)
+    b = np.sqrt(2.0) * np.array([[(-1.0) ** (n - 1 - i)] for i in range(n)], dtype=complex).reshape(n, 1)
+    c = np.sqrt(2.0) * np.array([[(-1.0) ** j for j in range(n)]], dtype=complex)
+    return a, b, c, np.array([[(-1.0) ** n]], dtype=complex)
+
+
+def test_random_unitary_is_numpys_qr_route():
+    rng, clone = _clone(4107)
+    for k in range(450):
+        assert _same_bits(random_unitary(rng, k % 9), _numpy_unitary(clone, k % 9))
+    for m in (40, 130):  # past LAPACK's blocking crossover, where the workspace decides the bits
+        assert _same_bits(random_unitary(rng, m), _numpy_unitary(clone, m))
+    assert _same_stream(rng, clone)
+
+
+@pytest.mark.parametrize("generator, plain", [
+    (random_hurwitz_matrix, _numpy_hurwitz_matrix),
+    (random_schur_matrix, _numpy_schur_matrix),
+])
+def test_matrix_generators_are_numpys_eigvals_route(generator, plain):
+    rng, clone = _clone(4108)
+    for n in list(range(13)) * 20 + [80, 160]:  # 160 needs zgeev's full workspace
+        assert _same_bits(generator(rng, n), plain(clone, n))
+    assert _same_stream(rng, clone)
+
+
+def test_blaschke_blocks_are_the_triu_formula():
+    rng = np.random.default_rng(4109)
+    specs = [random_blaschke_spec(rng, degree) for degree in range(41)]
+    # Signed zeros in rho and in a pole, a purely imaginary rho, and poles next
+    # to the axis, where g is subnormal or close to it.
+    specs += [BlaschkeSpec(complex(-1.0, -0.0), (complex(-1.0, -0.0), -2 + 1j)),
+              BlaschkeSpec(1j, (-1e-300, -1e-320, -3.0))]
+    for spec in specs:
+        got = _blaschke_blocks(spec)
+        want = _triu_blaschke_blocks(spec)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[2], want[2]) and _same_bits(got[3], want[3])
+        assert _same_bits(got[1], want[1].astype(complex))  # b as the realization stores it
+
+
+def test_zeta_power_blocks_are_the_toeplitz_formula():
+    for n in range(131):
+        assert all(map(_same_bits, _zeta_power_blocks(n), _toeplitz_zeta_power_blocks(n)))
 
 
 def test_random_mimo_realization_is_the_twisted_direct_sum():
