@@ -7,7 +7,8 @@ give the constant transfer function ``d``.  All values are immutable after
 construction and every operation here is a pure function.
 
 The module also loads SciPy's LAPACK wrappers on first use (``_lapack``),
-which the solvers of ``equations`` and every SVD (``_svd``) call.
+which the solvers of ``equations``, every SVD (``_svd``) and the general
+eigenvalue solves (``_eigvals``) call.
 """
 
 from __future__ import annotations
@@ -89,6 +90,22 @@ def _svd(x: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
     if info != 0:
         raise EvaluationError(f"singular value decomposition failed ({prefix}gesdd info {info})")
     return (u, s, vh) if compute_uv else s
+
+
+def _eigvals(g: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(g)`` of a finite square complex g, bit for bit, by one call of
+    LAPACK zgeev with the workspace numpy queries, without numpy's wrapper around it.
+
+    A 0 x 0 ``g``, which LAPACK is not asked about, has no eigenvalues.  A
+    solve that does not converge raises ``EvaluationError``.
+    """
+    if len(g) == 0:
+        return np.zeros(0, dtype=complex)
+    lwork = _lwork("zgeev", len(g), 0, 0)
+    w, _, _, info = _lapack().zgeev(g, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info:
+        raise EvaluationError(f"eigenvalues did not converge (zgeev info {info})")
+    return w
 
 
 def opnorm(x: np.ndarray) -> float:
@@ -293,7 +310,7 @@ def validate_stable_dissipative(r: Realization) -> ValidationReport:
     """
     if r.flavor != CONTINUOUS:
         raise StructureError("validate_stable_dissipative expects a continuous realization")
-    return _validation_report(r, np.linalg.eigvals(r.a))
+    return _validation_report(r, _eigvals(r.a))
 
 
 def validate_stable_unitary(r: Realization) -> ValidationReport:
@@ -307,7 +324,7 @@ def validate_stable_unitary(r: Realization) -> ValidationReport:
     """
     if r.flavor != DISCRETE:
         raise StructureError("validate_stable_unitary expects a discrete realization")
-    return _validation_report(r, np.linalg.eigvals(r.a))
+    return _validation_report(r, _eigvals(r.a))
 
 
 def _validation_report(r: Realization, eigenvalues: np.ndarray) -> ValidationReport:
@@ -352,6 +369,8 @@ def eval_transfer(r: Realization, s: complex) -> np.ndarray:
 
     Continuous: ``d + c (sI - a)^{-1} b``.  Discrete:
     ``d + s c (I - s a)^{-1} b``.  A zero-dimensional state returns ``d``.
+    The resolvent system is solved by one call of LAPACK zgesv, the routine
+    ``np.linalg.solve`` wraps; an exactly singular one raises ``EvaluationError``.
     """
     if r.state_dim == 0:
         return r.d.copy()
@@ -361,10 +380,12 @@ def eval_transfer(r: Realization, s: complex) -> np.ndarray:
         resolvent_arg = s * eye - r.a
     else:
         resolvent_arg = eye - s * r.a
-    try:
-        x = np.linalg.solve(resolvent_arg, r.b)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"transfer function evaluated at a pole (s = {s})") from exc
+    # zgesv factors nothing for no right-hand side; a zero column keeps the test for a
+    # pole, and its product c x of shape (0, 1) broadcasts to d's (0, 0).
+    rhs = r.b if r.output_dim else np.zeros((r.state_dim, 1))
+    _, _, x, info = _lapack().zgesv(resolvent_arg, rhs)
+    if info:
+        raise EvaluationError(f"transfer function evaluated at a pole (s = {s})")
     if r.flavor == CONTINUOUS:
         return r.d + r.c @ x
     return r.d + s * (r.c @ x)

@@ -2,9 +2,10 @@
 
 Nothing here shares machinery with the index pipelines: winding numbers come
 from direct phase integration along the boundary, and polynomial stability
-comes from companion-matrix roots.  The quadratic-form stability test is the
-only consumer of the realization builders, and it is itself checked against
-the root oracle.
+comes from companion-matrix roots.  The phase is integrated as the sum of its
+wrapped steps between neighbouring samples, which equals the change of the
+unwrapped phase.  The quadratic-form stability test is the only consumer of
+the realization builders, and it is itself checked against the root oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import EvaluationError, ResolutionError, StructureError
 from .realizations import (
     BlaschkeSpec,
     Polynomial,
+    _roots,
     _zeta_power_blocks,
     blaschke_eval,
     p_sharp,
@@ -35,17 +37,19 @@ PSD_REL_TOL = 1e-9
 
 def _symbol_on_axis(phi: BlaschkeSpec, m: BlaschkeSpec, theta: np.ndarray) -> np.ndarray:
     """phi * conj(m) at the axis points omega = tan(theta/2)."""
-    omega = np.tan(theta / 2.0)
-    return blaschke_eval(phi, 1j * omega) * np.conj(blaschke_eval(m, 1j * omega))
+    s = 1j * np.tan(theta / 2.0)
+    return blaschke_eval(phi, s) * np.conj(blaschke_eval(m, s))
 
 
 def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
     """Winding number of the scalar symbol phi * conj(m) around the origin.
 
-    Integrates the unwrapped phase along the full axis, doubling the sample
-    count until every phase step is below pi/2 and the rounded result is
-    stable across two refinements.  For Blaschke data this equals
-    deg(phi) - deg(m).
+    Integrates the phase along the full axis, doubling the sample count
+    until every phase step is below pi/2 and the rounded result is stable
+    across two refinements.  For Blaschke data this equals deg(phi) - deg(m).
+    The steps are the angles of v[k+1] conj(v[k]), wrapped into (-pi, pi]:
+    they sum to the change of the unwrapped phase and are its steps, up to
+    rounding, so the total and the largest step are read from one array.
 
     The axis is omega = tan(theta/2) on ``np.linspace(pi, -pi, samples + 1)``,
     omega from +inf to -inf, along which a degree-n inner function winds +n
@@ -56,9 +60,9 @@ def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
     values = _symbol_on_axis(phi, m, np.linspace(np.pi, -np.pi, samples + 1))
     previous = None
     while True:
-        phases = np.unwrap(np.angle(values))
-        max_step = float(np.abs(np.diff(phases)).max())
-        current = int(round(float(phases[-1] - phases[0]) / (2.0 * np.pi)))
+        steps = np.angle(values[1:] * values[:-1].conj())
+        max_step = float(np.abs(steps).max())
+        current = int(round(float(steps.sum()) / (2.0 * np.pi)))
         if max_step < np.pi / 2.0 and previous == current:
             return current
         previous = current if max_step < np.pi / 2.0 else None
@@ -79,10 +83,10 @@ def _rightmost_root(p: Polynomial) -> complex:
     if p.degree < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
     coeffs = np.asarray(p.coeffs[::-1], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # as np.roots divides by coeffs[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as _roots divides by coeffs[0]
         if not np.isfinite(coeffs / coeffs[0]).all():
             raise EvaluationError("the root test overflows: the companion matrix has a non-finite entry")
-    roots = np.roots(coeffs)
+    roots = _roots(p)
     return complex(roots[np.argmax(roots.real)])
 
 

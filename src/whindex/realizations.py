@@ -23,6 +23,7 @@ from .core import (
     Realization,
     SymbolPair,
     VALIDATION_TOL,
+    _eigvals,
     _empty,
     _svd,
     hermitize,
@@ -94,6 +95,26 @@ class Polynomial:
         for root in roots:
             coeffs = np.convolve(coeffs, np.array([-complex(root), 1.0]))
         return cls(tuple(coeffs))
+
+
+def _roots(p: Polynomial) -> np.ndarray:
+    """``np.roots`` of the coefficients of p, highest first, as a complex array, bit for bit.
+
+    As there, the eigenvalues of the companion matrix of p stripped of its
+    zero low-order coefficients come first, by one call of LAPACK zgeev
+    (``core._eigvals``), then a root 0 for each stripped coefficient.  A
+    monomial c s^k has just its k roots 0, as float zeros.  The companion
+    matrix must be finite.
+    """
+    coeffs = np.asarray(p.coeffs, dtype=complex)
+    zeros = int(np.flatnonzero(coeffs)[0])
+    rest = coeffs[zeros:][::-1]
+    n = len(rest) - 1
+    if n == 0:
+        return np.zeros(zeros)
+    companion = np.eye(n, k=-1, dtype=complex)
+    companion[0] = -rest[1:] / rest[0]
+    return np.concatenate((_eigvals(companion), np.zeros(zeros, dtype=complex)))
 
 
 def zeta_power_realization(n: int) -> Realization:
@@ -189,11 +210,19 @@ def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def blaschke_eval(spec: BlaschkeSpec, s):
-    """Pointwise value of the Blaschke product; accepts scalars or arrays."""
+    """Pointwise value of the Blaschke product; accepts scalars or arrays.
+
+    Each factor (s + conj(alpha)) / (s - alpha) is formed in two scratch
+    arrays and multiplied into the result in place, with the operations, and
+    so the bits, of the plain product.
+    """
     s = np.asarray(s, dtype=complex)
     out = np.full(s.shape, spec.rho, dtype=complex)
+    num, den = np.empty_like(out), np.empty_like(out)
     for alpha in spec.poles:
-        out *= (s + np.conj(alpha)) / (s - alpha)
+        np.add(s, np.conj(alpha), out=num)
+        np.subtract(s, alpha, out=den)
+        out *= np.divide(num, den, out=num)
     if out.shape == ():
         return complex(out)
     return out

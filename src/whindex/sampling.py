@@ -8,17 +8,18 @@ caller chooses only sizes and degrees.
 
 Decompositions call LAPACK through ``core._lapack``, the routines numpy's
 ``np.linalg.qr`` and ``np.linalg.eigvals`` wrap, with the workspace numpy
-queries, so their bits equal numpy's route; the plain-route tests in
-``tests/test_sampling.py`` pin each generator to that route.
+queries, so their bits equal numpy's route: eigenvalues come from
+``core._eigvals`` and polynomial roots from ``realizations._roots``, numpy's
+``np.roots``.  The plain-route tests in ``tests/test_sampling.py`` pin each
+generator to that route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Realization, SymbolPair, _check_unitary, _lapack, _lwork
-from .errors import EvaluationError
-from .realizations import BlaschkeSpec, Polynomial, _blaschke_blocks
+from .core import Realization, SymbolPair, _check_unitary, _eigvals, _lapack, _lwork
+from .realizations import BlaschkeSpec, Polynomial, _blaschke_blocks, _roots
 
 #: Pole box of every generator: comfortably off the axis.
 POLE_RE_RANGE = (-3.0, -0.1)
@@ -89,15 +90,6 @@ def random_schur_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return g * (0.8 * rng.uniform(0.3, 1.0) / rho)
 
 
-def _eigvals(g: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals(g)`` of a square complex g, by one call of LAPACK zgeev."""
-    lwork = _lwork("zgeev", len(g), 0, 0)
-    w, _, _, info = _lapack().zgeev(g, compute_vl=0, compute_vr=0, lwork=lwork)
-    if info:
-        raise EvaluationError(f"eigenvalues did not converge (zgeev info {info})")
-    return w
-
-
 def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:
     """Coefficients from the complex unit box; the leading one of modulus at least 0.1."""
     coeffs = rng.uniform(-1.0, 1.0, degree + 1) + 1j * rng.uniform(-1.0, 1.0, degree + 1)
@@ -110,8 +102,7 @@ def random_polynomial_off_axis(rng: np.random.Generator, degree: int) -> Polynom
     """Unit-box polynomial whose roots all have |Re| above 1e-6."""
     while True:
         p = random_polynomial(rng, degree)
-        roots = np.roots(np.asarray(p.coeffs[::-1]))
-        if np.all(np.abs(roots.real) > 1e-6):
+        if np.all(np.abs(_roots(p).real) > 1e-6):
             return p
 
 

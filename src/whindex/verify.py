@@ -17,6 +17,7 @@ from .cayley import c2d, d2c
 from .core import (
     Realization,
     SymbolPair,
+    _eigvals,
     direct_sum,
     cascade,
     eval_transfer,
@@ -167,13 +168,12 @@ def _disk_map(rng, cases):
     for k in range(cases):
         n = int(rng.integers(1, 13))
         a = random_hurwitz_matrix(rng, n)
-        mapped = zeta_of_minus(a)
-        radius = float(np.abs(np.linalg.eigvals(mapped)).max())
+        back = _eigvals(zeta_of_minus(a))
+        radius = float(np.abs(back).max())
         if radius >= 1.0:
             return {"case": k, "what": "spectral_radius", "radius": radius}
-        back = np.linalg.eigvals(mapped)
         recovered = (1.0 - back) / (1.0 + back)
-        target = np.linalg.eigvals(-a)
+        target = _eigvals(-a)
         diff = np.max(np.abs(_sorted_eigs(recovered) - _sorted_eigs(target)))
         if diff > 1e-8:
             return {"case": k, "what": "eigenvalue_round_trip", "diff": float(diff)}
@@ -295,11 +295,9 @@ def _cayley_property_transfer(rng, cases):
         if not validate_stable_unitary(rd).verdict:
             return {"case": k, "what": "unitary_verdict"}
         if r.state_dim:
-            mapped = np.linalg.eigvals(r.a)
+            mapped = _eigvals(r.a)
             mapped = (mapped + 1.0) / (1.0 - mapped)
-            diff = np.max(
-                np.abs(_sorted_eigs(np.linalg.eigvals(rd.a)) - _sorted_eigs(mapped))
-            )
+            diff = np.max(np.abs(_sorted_eigs(_eigvals(rd.a)) - _sorted_eigs(mapped)))
             if diff > 1e-8:
                 return {"case": k, "what": "spectrum_map", "diff": float(diff)}
             eye = np.eye(r.state_dim)

@@ -104,6 +104,14 @@ def test_nested_winding_sweep_answers_as_the_restarting_one(monkeypatch):
     assert refused > 0
 
 
+def test_high_degree_winding_answers_as_the_restarting_one():
+    rng = np.random.default_rng(55)
+    for _ in range(4):
+        phi = random_blaschke_spec(rng, int(rng.integers(21, 41)))
+        m = random_blaschke_spec(rng, int(rng.integers(21, 41)))
+        assert winding_number(phi, m) == _restarting_winding_number(phi, m) == phi.degree - m.degree
+
+
 def test_roots_stable_examples():
     assert roots_stable(Polynomial((1, 1)))
     assert not roots_stable(Polynomial((-1, 1)))

@@ -3,6 +3,8 @@
 Each test here keeps the plain route, draws from a clone of the same Generator
 and requires the same numbers drawn and the same instance bit for bit, signed
 zeros included, since the battery's cases and verdicts rest on the streams.
+The kernels the samplers and the battery's checks share (roots, eigenvalues,
+Blaschke and transfer-function values) are pinned to numpy's route the same way.
 """
 
 import copy
@@ -10,12 +12,26 @@ import copy
 import numpy as np
 import pytest
 
-from whindex.core import Realization, constant_realization, direct_sum, unitary_twist
+from whindex.cayley import c2d
+from whindex.core import (
+    CONTINUOUS,
+    DISCRETE,
+    Realization,
+    _eigvals,
+    constant_realization,
+    direct_sum,
+    eval_transfer,
+    unitary_twist,
+)
+from whindex.errors import EvaluationError
 from whindex.oracle import schur_cohen_stable
 from whindex.realizations import (
     BlaschkeSpec,
+    Polynomial,
     _blaschke_blocks,
+    _roots,
     _zeta_power_blocks,
+    blaschke_eval,
     blaschke_realization,
     diagonal_symbol_factors,
     zeta_power_realization,
@@ -24,6 +40,7 @@ from whindex.sampling import (
     random_blaschke_spec,
     random_hurwitz_matrix,
     random_mimo_realization,
+    random_polynomial,
     random_polynomial_off_axis,
     random_rank_one_dissipative,
     random_schur_matrix,
@@ -80,6 +97,31 @@ def _numpy_schur_matrix(rng, n):
     return g * (0.8 * rng.uniform(0.3, 1.0) / rho)
 
 
+def _numpy_polynomial_off_axis(rng, degree):
+    while True:
+        p = random_polynomial(rng, degree)
+        roots = np.roots(np.asarray(p.coeffs[::-1]))
+        if np.all(np.abs(roots.real) > 1e-6):
+            return p
+
+
+def _per_pole_blaschke_eval(spec, s):
+    s = np.asarray(s, dtype=complex)
+    out = np.full(s.shape, spec.rho, dtype=complex)
+    for alpha in spec.poles:
+        out *= (s + np.conj(alpha)) / (s - alpha)
+    return complex(out) if out.shape == () else out
+
+
+def _numpy_eval_transfer(r, s):
+    if r.state_dim == 0:
+        return r.d.copy()
+    eye = np.eye(r.state_dim)
+    if r.flavor == CONTINUOUS:
+        return r.d + r.c @ np.linalg.solve(s * eye - r.a, r.b)
+    return r.d + s * (r.c @ np.linalg.solve(eye - s * r.a, r.b))
+
+
 def _triu_blaschke_blocks(spec):
     poles = np.array(spec.poles[::-1], dtype=complex)
     g = np.sqrt(-2.0 * poles.real)
@@ -115,6 +157,69 @@ def test_matrix_generators_are_numpys_eigvals_route(generator, plain):
     for n in list(range(13)) * 20 + [80, 160]:  # 160 needs zgeev's full workspace
         assert _same_bits(generator(rng, n), plain(clone, n))
     assert _same_stream(rng, clone)
+
+
+def test_eigvals_is_numpys_route():
+    rng = np.random.default_rng(4110)
+    for n in list(range(13)) * 10 + [80, 160]:  # 0 x 0 included
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert _same_bits(_eigvals(g), np.linalg.eigvals(g))
+        g.setflags(write=False)  # as a realization's arrays, and in Fortran order
+        assert _same_bits(_eigvals(g.T), np.linalg.eigvals(g.T))
+
+
+def test_roots_are_numpys_companion_route():
+    rng = np.random.default_rng(4111)
+    polynomials = []
+    for degree in list(range(1, 13)) * 20 + [40] * 10:
+        coeffs = random_polynomial(rng, degree).coeffs
+        zeros = int(rng.integers(0, degree + 1))  # zero low-order coefficients, up to all but the leading one
+        polynomials.append(Polynomial((0j,) * zeros + coeffs[zeros:]))
+    # A signed zero constant term, a monomial (float roots, as np.roots gives) and a constant.
+    polynomials += [Polynomial((complex(-0.0, -0.0), 2.0, 1j)), Polynomial((0, 0, 0, 2j)), Polynomial((3.0,))]
+    for p in polynomials:
+        assert _same_bits(_roots(p), np.roots(np.asarray(p.coeffs[::-1]))), p
+
+
+def test_random_polynomial_off_axis_is_numpys_roots_route():
+    rng, clone = _clone(4112)
+    for degree in list(range(1, 9)) * 25:
+        assert random_polynomial_off_axis(rng, degree).coeffs == _numpy_polynomial_off_axis(clone, degree).coeffs
+    assert _same_stream(rng, clone)
+
+
+def test_blaschke_eval_is_the_per_pole_product():
+    rng = np.random.default_rng(4113)
+    axis = 1j * np.tan(np.linspace(np.pi, -np.pi, 4097) / 2.0)
+    for degree in list(range(9)) * 5:  # degree 0 included
+        spec = random_blaschke_spec(rng, degree)
+        for s in (axis, axis[:12].reshape(3, 4), [0.5, 1j]):
+            assert _same_bits(blaschke_eval(spec, s), _per_pole_blaschke_eval(spec, s))
+        s = complex(rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0))
+        got = blaschke_eval(spec, s)
+        assert type(got) is complex
+        assert np.array(got).tobytes() == np.array(_per_pole_blaschke_eval(spec, s)).tobytes()
+
+
+def test_eval_transfer_is_numpys_solve_route():
+    rng = np.random.default_rng(4114)
+    for k in range(300):
+        r = random_mimo_realization(rng, k % 4)  # m = 0 included
+        for flavored in (r, c2d(r)):
+            s = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            assert _same_bits(eval_transfer(flavored, s), _numpy_eval_transfer(flavored, s))
+
+
+@pytest.mark.parametrize("r, s", [
+    (Realization(np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)), [[1.0]]), -2.0),
+    (Realization(np.diag([0.5, 0.25]), np.ones((2, 1)), np.ones((1, 2)), [[1.0]], DISCRETE), 2.0),
+    (Realization(np.diag([-1.0, -2.0]), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0))), -1.0),
+])
+def test_eval_transfer_refuses_a_pole_as_numpys_solve_does(r, s):
+    with pytest.raises(np.linalg.LinAlgError):
+        _numpy_eval_transfer(r, s)
+    with pytest.raises(EvaluationError, match=r"transfer function evaluated at a pole \(s = "):
+        eval_transfer(r, s)
 
 
 def test_blaschke_blocks_are_the_triu_formula():
