@@ -2,14 +2,14 @@
 
 Subcommands:
 
-* ``indices``   -- compute the full partial-index profile of a problem file
-* ``cayley``    -- convert a realization between continuous and discrete time
-* ``stability`` -- run the two polynomial stability tests side by side
-* ``verify``    -- run the seeded property battery over all modules
-* ``example``   -- emit the canonical worked example and its expected report
+* ``indices`` -- compute the full partial-index profile of a problem file
+* ``cayley``  -- convert a realization between continuous and discrete time
+* ``verify``  -- run the seeded property battery over all modules
+* ``example`` -- emit the canonical worked example and its expected report
 
 Exit codes: 0 success, 2 malformed input or failed input validation,
-3 computation failure, 4 stability-test disagreement, 5 failed verification.
+3 computation failure, 5 failed verification.  Code 4, once a stability-test
+disagreement, is retired and not reused.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from .errors import (
     UnsolvableEquationError,
 )
 from .indices import IndexProfile, full_profile
-from .oracle import (
-    PSD_REL_TOL, ROOT_STABILITY_MARGIN, _rightmost_root, roots_stable, schur_cohen_stable,
-)
-from .realizations import Polynomial, blaschke_realization, diagonal_symbol_factors
+from .realizations import blaschke_realization, diagonal_symbol_factors
 from .serialize import (
     blaschke_spec_from_json,
     canonical_json,
@@ -55,7 +52,6 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
-EXIT_DISAGREE = 4
 EXIT_VERIFY = 5
 
 _COMPUTE_ERRORS = (
@@ -194,43 +190,6 @@ def cmd_cayley(args) -> int:
     return EXIT_OK
 
 
-def _parse_coefficients(text: str) -> Polynomial:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise StructureError("need at least two coefficients (degree >= 1), ascending order")
-    coeffs = []
-    for i, token in enumerate(tokens):
-        try:
-            coeffs.append(complex(token))
-        except ValueError as exc:
-            raise StructureError(f"coefficient {i}: cannot parse {token!r}") from exc
-    return Polynomial(tuple(coeffs))
-
-
-def cmd_stability(args) -> int:
-    p = _parse_coefficients(args.coefficients)
-    by_roots = roots_stable(p)
-    by_form, lambda_min = schur_cohen_stable(p)
-    if by_form != by_roots:
-        if ROOT_STABILITY_MARGIN <= (root := _rightmost_root(p)).real < 0:
-            raise ResolutionError(
-                f"the root {root} lies inside the root test's margin {ROOT_STABILITY_MARGIN}"
-            )
-        if not by_form and lambda_min > 0:  # positive, but within PSD_REL_TOL of the largest
-            raise ResolutionError(
-                f"the quadratic form's smallest eigenvalue {lambda_min!r} lies inside its "
-                f"relative margin {PSD_REL_TOL}"
-            )
-    payload = {"schur_cohen": by_form, "roots": by_roots, "lambda_min": lambda_min}
-    _emit(canonical_json(payload), args.output)
-    if by_form != by_roots:
-        sys.stderr.write(
-            "DISAGREEMENT: the quadratic-form test and the root test do not match\n"
-        )
-        return EXIT_DISAGREE
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     # The battery pulls in the samplers and numpy.random, which no other command needs.
     from .verify import DEFAULT_SEED, run_battery
@@ -304,15 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cay.add_argument("direction", choices=["c2d", "d2c"])
     p_cay.add_argument("--output", default=None, help="write to this path instead of stdout")
     p_cay.set_defaults(handler=cmd_cayley)
-
-    p_sta = sub.add_parser("stability", help="polynomial stability, two independent ways")
-    p_sta.add_argument(
-        "coefficients",
-        help="space-separated ascending coefficients, e.g. '1 1' for s+1; "
-        "complex entries like 1+2j are accepted",
-    )
-    p_sta.add_argument("--output", default=None, help="write to this path instead of stdout")
-    p_sta.set_defaults(handler=cmd_stability)
 
     p_ver = sub.add_parser("verify", help="run the seeded property battery")
     p_ver.add_argument("--seed", type=int, default=None,

@@ -159,7 +159,10 @@ def _freeze(x, name: str) -> np.ndarray:
 
 
 def _empty(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=complex)
+    try:
+        return np.zeros((rows, cols), dtype=complex)
+    except ValueError as exc:  # numpy refuses a shape past its address space before allocating
+        raise MemoryError(f"cannot build a {rows} x {cols} complex array: {exc}") from exc
 
 
 @dataclass(frozen=True)

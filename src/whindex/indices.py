@@ -179,10 +179,10 @@ def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, n
     return s, u[:, r:], vh[r:].conj().T
 
 
-def _isometry_certified(w: Realization, sw: SchurForm, tol: float, delta: float | None) -> bool:
-    """Whether a balance defect |E|_2 <= ``delta`` of the factor w proves that the
-    computed [M; c_d] of the chain passes its isometry check, whose computed
-    Gram defect it then bounds by tol/2.  Without ``delta`` it proves nothing.
+def _isometry_certified(w: Realization, sw: SchurForm, tol: float) -> bool:
+    """Whether the balance defect |E|_2 <= delta = ``VALIDATION_TOL`` to which
+    validation held the factor w proves that the computed [M; c_d] of the chain
+    passes its isometry check, whose computed Gram defect it then bounds by tol/2.
 
     Exactly, E = a + a* + c*c for a continuous factor, and with R = (I - a)^{-1},
     M = 2R - I and c_d = sqrt(2) c R,
@@ -222,9 +222,7 @@ def _isometry_certified(w: Realization, sw: SchurForm, tol: float, delta: float 
     A discrete [M; c_d] is w's own data; validating S*S - I and forming the
     Gram matrix err by at most 2.2 (n + m) g: delta + 3 (n + m) g <= tol/2.
     """
-    if delta is None:
-        return False
-    n, m = w.state_dim, w.output_dim
+    n, m, delta = w.state_dim, w.output_dim, VALIDATION_TOL
     k = 6.0 * (n + m + 1) * 2.0**-53
     g = k / (1.0 - k)
     if w.flavor == DISCRETE:
@@ -234,7 +232,7 @@ def _isometry_certified(w: Realization, sw: SchurForm, tol: float, delta: float 
 
 
 def _kernel_dimension_chain(
-    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float, delta: float | None = None
+    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
 ) -> list[int]:
     """Unit-eigenvalue multiplicities of M^k Q M*^k until they reach zero.
 
@@ -243,10 +241,10 @@ def _kernel_dimension_chain(
     as in the module docstring.  The disk map of a continuous w has no pole
     test: with a + a* + c*c = E, Re<(I - a)x, x> >= (1 - |E|/2)|x|^2, so I - a
     is far from singular for every factor that validation accepts, and only an
-    exactly singular one fails the triangular solve.  ``delta`` is the bound on
-    |E|_2 that validation established; the isometry check runs unless
-    ``_isometry_certified`` proves it passes, and always without ``delta``,
-    where it also refuses a map stretched by a pole.  A chain whose drops are
+    exactly singular one fails the triangular solve.  The isometry check runs
+    unless ``_isometry_certified`` proves it passes from the bound on |E|_2 that
+    validation establishes, and always for a tol below 2 VALIDATION_TOL, where
+    it also refuses a map stretched by a pole.  A chain whose drops are
     not positive and non-increasing means the input was not a genuine
     unimodular symbol pair at this tolerance; as it starts at most at n, it
     ends within n steps.
@@ -259,7 +257,7 @@ def _kernel_dimension_chain(
     else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
         m = _disk_map(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
-    if not _isometry_certified(w, sw, tol, delta):
+    if not _isometry_certified(w, sw, tol):
         gram = m.conj().T @ m + rows.conj().T @ rows
         if not _screen(_frobenius(_minus_identity(gram.copy())), tol):
             residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
@@ -311,8 +309,8 @@ def _side(
 ) -> tuple[PipelineTrace, list[int], list[int]]:
     """Chain of one side from its coupling omega and step 0 of ``_step_zero``;
     ``w`` is the factor on the state space of ``basis``, whose map M iterates."""
-    # ``_validated`` held w's balance defect to VALIDATION_TOL.
-    dims = _kernel_dimension_chain(basis, w, sw, tol, VALIDATION_TOL)
+    # ``_validated`` held w's balance defect to VALIDATION_TOL, as the chain's certificate assumes.
+    dims = _kernel_dimension_chain(basis, w, sw, tol)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     trace = PipelineTrace(
         omega=omega.x,

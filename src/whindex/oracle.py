@@ -5,7 +5,10 @@ from direct phase integration along the boundary, and polynomial stability
 comes from companion-matrix roots.  The phase is integrated as the sum of its
 wrapped steps between neighbouring samples, which equals the change of the
 unwrapped phase.  The quadratic-form stability test is the only consumer of
-the realization builders, and it is itself checked against the root oracle.
+the realization builders, and it is itself checked against the root oracle
+(the battery's ``oracle-stability-equivalence`` family); no command runs the
+two tests on their own.  ``ResolutionError`` comes only from the refinement
+cap of the phase integration.
 """
 
 from __future__ import annotations
@@ -78,21 +81,15 @@ def winding_number(phi: BlaschkeSpec, m: BlaschkeSpec) -> int:
         values = refined
 
 
-def _rightmost_root(p: Polynomial) -> complex:
-    """The companion-matrix root of p with the largest real part."""
+def roots_stable(p: Polynomial) -> bool:
+    """True when all companion-matrix roots lie left of ``ROOT_STABILITY_MARGIN``."""
     if p.degree < 1:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
     coeffs = np.asarray(p.coeffs[::-1], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # as _roots divides by coeffs[0]
         if not np.isfinite(coeffs / coeffs[0]).all():
             raise EvaluationError("the root test overflows: the companion matrix has a non-finite entry")
-    roots = _roots(p)
-    return complex(roots[np.argmax(roots.real)])
-
-
-def roots_stable(p: Polynomial) -> bool:
-    """True when all companion-matrix roots lie left of ``ROOT_STABILITY_MARGIN``."""
-    return _rightmost_root(p).real < ROOT_STABILITY_MARGIN
+    return bool(_roots(p).real.max() < ROOT_STABILITY_MARGIN)
 
 
 def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ DSS_REPORT = (
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
     '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.2.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.3.0","zeros":1}\n'
 )
 
 
@@ -215,8 +214,7 @@ def test_indices_malformed_inputs(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    ["utf8-problem", "utf8-realization", "indices-output", "cayley-output", "stability-output",
-     "example-output"],
+    ["utf8-problem", "utf8-realization", "indices-output", "cayley-output", "example-output"],
 )
 def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
     not_utf8 = tmp_path / "latin1.json"
@@ -234,7 +232,6 @@ def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
         "utf8-realization": (["cayley", str(not_utf8), "c2d"], f"cannot read {not_utf8}: {decode}"),
         "indices-output": (["indices", problem, "--output", str(target)], missing),
         "cayley-output": (["cayley", str(realization), "c2d", "--output", str(target)], missing),
-        "stability-output": (["stability", "1 1", "--output", str(target)], missing),
         "example-output": (
             ["example", "dss", "--output", str(taken)],
             f"cannot create directory {taken}: [Errno 17] File exists: '{taken}'",
@@ -259,8 +256,6 @@ def test_non_finite_inputs_are_refused_as_malformed(tmp_path, capsys):
     for payload, message in problems:
         code, out, err = run(capsys, "indices", write_problem(tmp_path, payload))
         assert (code, out, err) == (2, "", f"error: {message}\n")
-    code, out, err = run(capsys, "stability", "1 nan")
-    assert (code, out, err) == (2, "", "error: polynomial coefficients must be finite numbers\n")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "1", "2", "nan", "inf"])
@@ -353,86 +348,6 @@ def test_cayley_cli_round_trip(tmp_path, capsys):
         assert float(diff.max()) < 1e-10
 
 
-def test_stability_command(capsys):
-    code, out, _ = run(capsys, "stability", "1 1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schur_cohen"] is True and payload["roots"] is True
-
-    code, out, _ = run(capsys, "stability", "-1 1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schur_cohen"] is False and payload["roots"] is False
-
-    code, out, _ = run(capsys, "stability", "-2 -1 1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schur_cohen"] is False and payload["roots"] is False
-    assert payload["lambda_min"] < 0
-
-    code, _, err = run(capsys, "stability", "3")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "coefficients, message",
-    [
-        ("1 1e-320", "the root test overflows: the companion matrix has a non-finite entry"),
-        ("1e200 1e200", "the Schur-Cohen quadratic form overflows to a non-finite value"),
-        ("1e308 1e308", "the Schur-Cohen quadratic form overflows to a non-finite value"),
-        ("1e-200 1e-200", "the Schur-Cohen quadratic form underflows below the normal range"),
-        # p(-A) and p#(-A) round to one matrix: G = 0 although the root -1e170 is stable.
-        ("1 1e-170", "the Schur-Cohen quadratic form vanishes within the rounding of its terms"),
-        # The form reads G = 4e-12 > 0; the root test's absolute margin cannot decide -1e-12.
-        ("1e-12 1", "the root (-1e-12+0j) lies inside the root test's margin -1e-09"),
-    ],
-)
-def test_stability_overflow_is_a_computation_failure(capsys, coefficients, message):
-    assert run(capsys, "stability", coefficients) == (3, "", f"computation failed: {message}\n")
-
-
-def test_stability_inside_the_form_margin_is_a_computation_failure(capsys):
-    # The rightmost root -4.4e-9 - 0.48i lies left of the root test's margin, so
-    # the roots say stable; the form's smallest eigenvalue 1.9e-9 is positive but
-    # within PSD_REL_TOL of its largest, so the form says unstable.
-    coefficients = (
-        "-0.22890130618825646+0.25738669186350954j 0.5356787697339849+0.9568813844609072j 1"
-    )
-    code, out, err = run(capsys, "stability", coefficients)
-    assert (code, out) == (3, "")
-    assert re.fullmatch(
-        r"computation failed: the quadratic form's smallest eigenvalue 1\.9\d*e-09 "
-        r"lies inside its relative margin 1e-09\n",
-        err,
-    )
-
-
-@pytest.mark.parametrize(
-    "coefficients, output",
-    [
-        # Terms of G near 1e-300 are still normal numbers.
-        ("1e-150 1e-150", '{"lambda_min":4.0000000000000001e-300,"roots":true,"schur_cohen":true}'),
-        # p# is a unimodular multiple of p, so G = 0 exactly: roots mirrored in the axis, answered.
-        ("0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
-        ("1 0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
-        ("4 0 5 0 1", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
-        # A complex multiple: u * p rounds to p# only within a few ulps.
-        ("24+26j 0 168+182j 0 24+26j", '{"lambda_min":0.0,"roots":false,"schur_cohen":false}'),
-    ],
-)
-def test_stability_answers_a_small_or_cancelling_quadratic_form(capsys, coefficients, output):
-    assert run(capsys, "stability", coefficients) == (0, output + "\n", "")
-
-
-def test_stability_disagreement_exit_code(capsys, monkeypatch):
-    import whindex.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "roots_stable", lambda p: False)
-    code, out, err = run(capsys, "stability", "1 1")
-    assert code == 4
-    assert "DISAGREEMENT" in err
-
-
 def test_verify_small_run_is_deterministic(capsys):
     code, first, _ = run(capsys, "verify", "--seed", "42", "--cases", "3")
     assert code == 0
@@ -489,6 +404,31 @@ def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypat
     expected = f"computation failed: out of memory: {message}\n"
     assert run(capsys, "indices", path) == (3, "", expected)
     assert run(capsys, "example", "dss", "--output", str(tmp_path)) == (3, "", expected)
+
+
+@pytest.mark.parametrize(
+    "powers, size",
+    [([-3000000000], 3000000000), ([3000000000, -5], 3000000000), ([10**30], 10**30)],
+)
+def test_a_problem_too_large_to_build_exits_3_with_one_line(tmp_path, capsys, powers, size):
+    # numpy refuses these shapes before it allocates anything.
+    path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": powers})
+    code, out, err = run(capsys, "indices", path)
+    assert (code, out) == (3, "")
+    prefix = f"computation failed: out of memory: cannot build a {size} x {size} complex array: "
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_the_commands_are_indices_cayley_verify_and_example(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "{indices,cayley,verify,example}" in capsys.readouterr().out
+    # The retired polynomial stability command is an unknown choice, exit 2.
+    with pytest.raises(SystemExit) as info:
+        main(["stability", "1 1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'stability'" in capsys.readouterr().err
 
 
 def test_verify_defaults_to_the_battery_seed(capsys, monkeypatch):

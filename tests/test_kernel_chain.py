@@ -151,10 +151,12 @@ def test_dropped_directions_stay_orthonormal_on_twisted_mimo_pairs(monkeypatch):
 
 
 def test_chain_step_refuses_a_stretching_map():
-    # M = 1.5 I with c_d = 0: sigma^2([M; c_d]) = 2.25, 1.25 away from 1.
+    # M = 1.5 I with c_d = 0: sigma^2([M; c_d]) = 2.25, 1.25 away from 1.  This w
+    # fails validation; a tol below 2 VALIDATION_TOL leaves the isometry check
+    # no certificate, so the check runs, as it does in production at that tol.
     w = Realization(1.5 * np.eye(3), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(1), DISCRETE)
     with pytest.raises(ContractionViolationError) as info:
-        indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), CLUSTER_TOL)
+        indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), 1e-9)
     assert abs(info.value.eigenvalue - 1.25) < 1e-12
 
 
@@ -189,15 +191,13 @@ def test_isometry_certificate_needs_a_bound_small_factors_and_room_in_tol():
     continuous = diagonal_symbol_factors([-8, 8]).w
     discrete = c2d(continuous)
     large = diagonal_symbol_factors([-128, 128]).w
-    tol, delta = CLUSTER_TOL, core.VALIDATION_TOL
     for w in (continuous, discrete):
         sw = schur_form(w.a)
-        assert indices._isometry_certified(w, sw, tol, delta)
-        # No bound, or no room for 2 delta (continuous) or delta (discrete) within tol/2.
-        assert not indices._isometry_certified(w, sw, tol, None)
-        assert not indices._isometry_certified(w, sw, 1e-9, delta)
+        assert indices._isometry_certified(w, sw, CLUSTER_TOL)
+        # No room for 2 delta (continuous) or delta (discrete) within tol/2.
+        assert not indices._isometry_certified(w, sw, 1e-9)
     # The rounding bound grows with n, m and |t|_F: 128 states with |t|_F = 181 exceed it.
-    assert not indices._isometry_certified(large, schur_form(large.a), tol, delta)
+    assert not indices._isometry_certified(large, schur_form(large.a), CLUSTER_TOL)
 
 
 def test_step_zero_refuses_a_coupling_that_stretches():
@@ -385,8 +385,8 @@ def _audit_certificate(monkeypatch):
     skipped = []
     certified = indices._isometry_certified
 
-    def audited(w, sw, tol, delta):
-        if not certified(w, sw, tol, delta):
+    def audited(w, sw, tol):
+        if not certified(w, sw, tol):
             return False
         skipped.append((_gram_defect(w, sw), tol))
         return True

@@ -3,6 +3,7 @@ import pytest
 
 from whindex import (
     BlaschkeSpec,
+    EvaluationError,
     Polynomial,
     ResolutionError,
     StructureError,
@@ -130,6 +131,89 @@ def test_schur_cohen_examples():
     assert not verdict
     verdict, lam = schur_cohen_stable(Polynomial((-2, -1, 1)))
     assert not verdict and lam < 0
+
+
+def _polynomial(coefficients: str) -> Polynomial:
+    """The polynomial of space-separated ascending coefficients, e.g. '1 1' for s + 1."""
+    return Polynomial(tuple(complex(token) for token in coefficients.split()))
+
+
+@pytest.mark.parametrize(
+    "coefficients, test, message",
+    [
+        ("1 1e-320", roots_stable,
+         "the root test overflows: the companion matrix has a non-finite entry"),
+        ("1e200 1e200", schur_cohen_stable,
+         "the Schur-Cohen quadratic form overflows to a non-finite value"),
+        ("1e308 1e308", schur_cohen_stable,
+         "the Schur-Cohen quadratic form overflows to a non-finite value"),
+        ("1e-200 1e-200", schur_cohen_stable,
+         "the Schur-Cohen quadratic form underflows below the normal range"),
+        # p(-A) and p#(-A) round to one matrix: G = 0 although the root -1e170 is stable.
+        ("1 1e-170", schur_cohen_stable,
+         "the Schur-Cohen quadratic form vanishes within the rounding of its terms"),
+    ],
+    ids=["1 1e-320", "1e200 1e200", "1e308 1e308", "1e-200 1e-200", "1 1e-170"],
+)
+def test_stability_tests_refuse_what_they_cannot_evaluate(coefficients, test, message):
+    # Overflow is refused by the checks it reaches, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError) as info:
+        test(_polynomial(coefficients))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "coefficients, stable, lambda_min",
+    [
+        # Terms of G near 1e-300 are still normal numbers.
+        ("1e-150 1e-150", True, 4.0000000000000001e-300),
+        # p# is a unimodular multiple of p, so G = 0 exactly: roots mirrored in the axis, answered.
+        ("0 1", False, 0.0),
+        ("1 0 1", False, 0.0),
+        ("4 0 5 0 1", False, 0.0),
+        # A complex multiple: u * p rounds to p# only within a few ulps.
+        ("24+26j 0 168+182j 0 24+26j", False, 0.0),
+    ],
+    ids=["1e-150 1e-150", "0 1", "1 0 1", "4 0 5 0 1", "24+26j 0 168+182j 0 24+26j"],
+)
+def test_stability_tests_answer_a_small_or_cancelling_quadratic_form(
+    coefficients, stable, lambda_min
+):
+    p = _polynomial(coefficients)
+    assert schur_cohen_stable(p) == (stable, lambda_min)
+    assert roots_stable(p) is stable
+
+
+def test_stability_tests_answer_the_worked_examples():
+    for coefficients, stable in (("1 1", True), ("-1 1", False), ("-2 -1 1", False)):
+        p = _polynomial(coefficients)
+        verdict, lambda_min = schur_cohen_stable(p)
+        assert verdict is stable and roots_stable(p) is stable
+    assert lambda_min < 0
+    for test in (roots_stable, schur_cohen_stable):
+        with pytest.raises(StructureError):
+            test(_polynomial("3"))
+
+
+def test_stability_tests_differ_inside_the_root_margin():
+    # The form reads G = 4e-12 > 0, stable; the root test's absolute margin
+    # ROOT_STABILITY_MARGIN = -1e-9 calls the root -1e-12 unstable.
+    p = _polynomial("1e-12 1")
+    verdict, lambda_min = schur_cohen_stable(p)
+    assert verdict and 3.9e-12 < lambda_min < 4.1e-12
+    assert not roots_stable(p)
+
+
+def test_stability_tests_differ_inside_the_form_margin():
+    # The rightmost root -4.4e-9 - 0.48i lies left of the root test's margin,
+    # stable; the form's smallest eigenvalue 1.9e-9 is positive but within
+    # PSD_REL_TOL of its largest, so the form says unstable.
+    p = _polynomial(
+        "-0.22890130618825646+0.25738669186350954j 0.5356787697339849+0.9568813844609072j 1"
+    )
+    verdict, lambda_min = schur_cohen_stable(p)
+    assert not verdict and 1.9e-9 < lambda_min < 2e-9
+    assert roots_stable(p)
 
 
 def test_stability_tests_agree():
