@@ -9,7 +9,7 @@ continuous/discrete realization dictionary, and independent oracles
 (winding numbers, root tests) for cross-validation.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .cayley import c2d, d2c
 from .core import (
@@ -52,7 +52,6 @@ from .indices import (
     discrete_negative_profile,
     full_profile,
     negative_profile,
-    positive_profile,
 )
 from .oracle import roots_stable, schur_cohen_stable, winding_number
 from .realizations import (
@@ -108,7 +107,6 @@ __all__ = [
     "negative_profile",
     "p_sharp",
     "poly_of_matrix",
-    "positive_profile",
     "recover_blaschke_pointwise",
     "roots_stable",
     "schur_cohen_stable",

@@ -230,16 +230,13 @@ def cmd_example(args) -> int:
     except OSError as exc:
         raise StructureError(f"cannot create directory {out_dir}: {exc}") from exc
     pair = load_problem_pair(problem)
-    report = build_report(full_profile(pair, tol=args.tol), args.tol)
+    report = build_report(full_profile(pair, tol=CLUSTER_TOL), CLUSTER_TOL)
     problem_path = out_dir / f"{args.name}.problem.json"
     report_path = out_dir / f"{args.name}.report.json"
     _write(problem_path, canonical_json(problem))
     _write(report_path, canonical_json(report))
     sys.stdout.write(f"{problem_path}\n{report_path}\n")
     return EXIT_OK
-
-
-_TOL_HELP = f"eigenvalue clustering tolerance, 0 < tol < 1 (default {CLUSTER_TOL:g})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_idx = sub.add_parser("indices", help="compute the index profile of a problem file")
     p_idx.add_argument("problem", help="path to a JSON problem file")
-    p_idx.add_argument("--tol", type=float, default=CLUSTER_TOL, help=_TOL_HELP)
+    p_idx.add_argument("--tol", type=float, default=CLUSTER_TOL,
+                       help=f"eigenvalue clustering tolerance, 0 < tol < 1 (default {CLUSTER_TOL:g})")
     p_idx.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
     p_idx.add_argument("--output", default=None, help="write to this path instead of stdout")
     p_idx.set_defaults(handler=cmd_indices)
@@ -273,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exa = sub.add_parser("example", help="emit a named example problem and expected report")
     p_exa.add_argument("name", help="example name (currently: dss)")
-    p_exa.add_argument("--tol", type=float, default=CLUSTER_TOL, help=_TOL_HELP)
     p_exa.add_argument("--output", default=None, help="directory for the emitted files")
     p_exa.set_defaults(handler=cmd_example)
     return parser

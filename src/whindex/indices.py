@@ -328,28 +328,13 @@ def negative_profile(
 
     The flavor of the factors selects the coupling equation (Sylvester or
     Stein) and the iteration map of the chain (the disk map of -a_w, or a_w
-    itself).
+    itself).  The positive side is that of ``full_profile``, which takes both
+    from one solve; ``negative_profile(pair.swapped())`` solves it on its own.
     """
     sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
     s, _, basis = _step_zero(omega.x, tol)
     return _side(omega, s, basis, pair.w, sw, tol)
-
-
-def positive_profile(
-    pair: SymbolPair, tol: float = CLUSTER_TOL
-) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Run the positive-index pipeline; returns (trace, nu, omega_counts).
-
-    The positive indices of V W* are the negative indices of the adjoint
-    symbol W V*, so this is the same pipeline applied to the swapped pair:
-    its coupling solves a_w x + x a_v* + b_w b_v* = 0, the adjoint of the
-    primal equation, so it is omega*, and its contraction I - omega omega*
-    lives on the V state space with the iteration map of the V factor.
-    ``full_profile`` takes both sides from one solve; this function solves
-    the swapped equation itself.  Discrete pairs swap the same way.
-    """
-    return negative_profile(pair.swapped(), tol)
 
 
 def discrete_negative_profile(

@@ -105,9 +105,11 @@ def schur_cohen_stable(p: Polynomial) -> tuple[bool, float]:
         raise StructureError("stability of a constant is not defined; need degree >= 1")
     minus_a = -_zeta_power_blocks(n)[0]
     sharp = p_sharp(p)
-    pm = poly_of_matrix(p, minus_a)
-    psm = poly_of_matrix(sharp, minus_a)
-    g = hermitize(pm.conj().T @ pm - psm.conj().T @ psm)
+    # Overflow to a non-finite form is refused below, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm = poly_of_matrix(p, minus_a)
+        psm = poly_of_matrix(sharp, minus_a)
+        g = hermitize(pm.conj().T @ pm - psm.conj().T @ psm)
     if not np.isfinite(g).all():
         raise EvaluationError("the Schur-Cohen quadratic form overflows to a non-finite value")
     # Products below the normal range lose their digits; normal ones that cancel are an answer.

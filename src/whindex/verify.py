@@ -34,7 +34,7 @@ from .equations import (
     zeta_of_minus,
 )
 from .errors import EvaluationError
-from .indices import discrete_negative_profile, full_profile, negative_profile, positive_profile
+from .indices import discrete_negative_profile, full_profile, negative_profile
 from .oracle import roots_stable, schur_cohen_stable, winding_number
 from .realizations import (
     Polynomial,
@@ -422,8 +422,8 @@ def _dual_consistency(rng, cases):
     for k in range(cases):
         pair = random_symbol_pair(rng, max_m=3, max_block_degree=2)
         negative, _, _ = negative_profile(pair)
-        positive, _, _ = positive_profile(pair)
         # The swapped pair solves the adjoint equation on its own.
+        positive, _, _ = negative_profile(pair.swapped())
         mismatch = opnorm(positive.omega - negative.omega.conj().T)
         if mismatch > 1e-10 * (1.0 + opnorm(negative.omega)):
             return {"case": k, "what": "omega_duality", "mismatch": mismatch}

@@ -22,7 +22,6 @@ from whindex import (
     discrete_negative_profile,
     full_profile,
     negative_profile,
-    positive_profile,
     recover_blaschke_pointwise,
     roots_stable,
     schur_cohen_stable,
@@ -172,7 +171,7 @@ def test_criterion_8_dual_consistency():
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=2) for _ in range(50)]
     for pair in pairs:
         trace_neg, _, _ = negative_profile(pair)
-        trace_pos, _, _ = positive_profile(pair)
+        trace_pos, _, _ = negative_profile(pair.swapped())
         if trace_neg.omega.size:
             gap = float(np.max(np.abs(trace_pos.omega - trace_neg.omega.conj().T)))
             if gap > 1e-10:

@@ -20,7 +20,7 @@ DSS_REPORT = (
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
     '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.3.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.4.0","zeros":1}\n'
 )
 
 
@@ -263,16 +263,23 @@ def test_indices_and_example_refuse_a_tol_outside_the_unit_interval(tmp_path, ca
     path = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [0, 0]})
     message = f"error: tolerance must be a finite number in (0, 1), got {float(tol)!r}\n"
     assert run(capsys, "indices", path, "--tol", tol) == (2, "", message)
+    # The canonical example has one tolerance, so ``example`` takes no --tol at all.
     out_dir = tmp_path / "example"
-    assert run(capsys, "example", "dss", "--output", str(out_dir), "--tol", tol) == (2, "", message)
-    assert list(out_dir.iterdir()) == []
+    with pytest.raises(SystemExit) as info:
+        main(["example", "dss", "--output", str(out_dir), "--tol", tol])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_tol_help_names_the_default(capsys):
-    for command in ("indices", "example"):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "(default 1e-07)" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit):
+        main(["indices", "--help"])
+    assert "(default 1e-07)" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit) as info:
+        main(["example", "dss", "--tol", "1e-5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-5" in capsys.readouterr().err
 
 
 def test_indices_rejects_invalid_realization_pair(tmp_path, capsys):

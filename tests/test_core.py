@@ -143,6 +143,17 @@ def test_direct_sum_refuses_mixed_flavors():
         direct_sum(x, x, c2d(x))
 
 
+def test_cascade_refuses_mixed_flavors_discrete_factors_and_unequal_outputs():
+    x = zeta_power_realization(1)
+    for outer, inner, message in (
+        (x, c2d(x), "^cascade requires matching flavors$"),
+        (c2d(x), c2d(x), "^cascade is defined for continuous realizations$"),
+        (x, direct_sum(x, x), "^cascade output dimensions differ: 1 vs 2$"),
+    ):
+        with pytest.raises(StructureError, match=message):
+            cascade(outer, inner)
+
+
 def test_cascade_squares_the_zeta_block():
     zeta = zeta_power_realization(1)
     squared = cascade(zeta, zeta)
@@ -189,6 +200,14 @@ def test_unitary_twist_rejects_non_unitary():
         unitary_twist(zeta_power_realization(1), np.array([[2.0]]), "left")
 
 
+def test_unitary_twist_refuses_a_wrongly_sized_twist_or_an_unknown_side():
+    r = zeta_power_realization(1)
+    with pytest.raises(StructureError, match=r"^twist matrix must be 1x1, got \(2, 2\)$"):
+        unitary_twist(r, np.eye(2), "left")
+    with pytest.raises(StructureError, match="^side must be 'left' or 'right', got 'top'$"):
+        unitary_twist(r, np.eye(1), "top")
+
+
 def test_unitary_twist_refuses_a_non_finite_matrix():
     with pytest.raises(StructureError, match="^twist matrix has a NaN or infinite entry$"):
         unitary_twist(zeta_power_realization(1), [[float("nan")]], "left")
@@ -219,6 +238,10 @@ def test_realization_shape_checks():
         Realization([[0.0]], [[1.0], [2.0]], [[1.0]], [[1.0]])
     with pytest.raises(StructureError):
         Realization([[0.0]], [[1.0]], [[1.0]], [[1.0]], flavor="sampled")
+    with pytest.raises(StructureError, match=r"^d must be square, got shape \(1, 2\)$"):
+        Realization([[0.0]], [[1.0, 0.0]], [[1.0]], [[1.0, 0.0]])
+    with pytest.raises(StructureError, match=r"^c must be 1x1, got shape \(1, 2\)$"):
+        Realization([[0.0]], [[1.0]], [[1.0, 2.0]], [[1.0]])
 
 
 def test_realizations_are_immutable():

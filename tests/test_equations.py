@@ -58,6 +58,13 @@ def test_sylvester_empty_dimension():
     assert sol.residual == 0.0
 
 
+def test_sylvester_refuses_a_non_square_coefficient_or_a_misshapen_c():
+    with pytest.raises(StructureError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        solve_sylvester(np.ones((2, 3)), -np.eye(1), np.ones((2, 1)))
+    with pytest.raises(StructureError, match=r"^c must be 2x1, got \(1, 2\)$"):
+        solve_sylvester(-np.eye(2), -np.eye(1), np.ones((1, 2)))
+
+
 def test_sylvester_spectral_overlap_rejected():
     # a = 1 and b = -1 overlap after negation; the Kronecker system is singular.
     with pytest.raises(UnsolvableEquationError) as info:

@@ -20,7 +20,6 @@ from whindex import (
     discrete_negative_profile,
     full_profile,
     negative_profile,
-    positive_profile,
     unitary_twist,
 )
 from whindex import core, indices
@@ -74,22 +73,12 @@ def test_mixed_pair_of_powers():
     assert profile.zeros == 0
 
 
-def test_positive_profile_is_swapped_negative():
-    rng = np.random.default_rng(41)
-    for _ in range(5):
-        pair = random_symbol_pair(rng, max_m=2, max_block_degree=2)
-        trace_pos, nu, omegas = positive_profile(pair)
-        trace_swapped, mu, kappa = negative_profile(pair.swapped())
-        assert nu == mu and omegas == kappa
-        assert opnorm(_q(trace_pos) - _q(trace_swapped)) == 0.0
-
-
 def test_dual_coupling_is_adjoint():
     rng = np.random.default_rng(42)
     for _ in range(10):
         pair = random_symbol_pair(rng, max_m=3, max_block_degree=2)
         trace_neg, _, _ = negative_profile(pair)
-        trace_pos, _, _ = positive_profile(pair)
+        trace_pos, _, _ = negative_profile(pair.swapped())
         if trace_neg.omega.size:
             assert float(np.max(np.abs(trace_pos.omega - trace_neg.omega.conj().T))) < 1e-10
 
@@ -226,7 +215,7 @@ def test_a_tol_outside_the_unit_interval_is_refused_before_factorizing(monkeypat
     monkeypatch.setattr(indices, "_schur", no_factorization)
     pair = diagonal_symbol_factors([-1, 1])
     for tol in (0.0, -1.0, 1.0, 2.0, np.nan, np.inf, -np.inf):
-        for profile in (full_profile, negative_profile, positive_profile):
+        for profile in (full_profile, negative_profile):
             with pytest.raises(StructureError, match="^tolerance must be a finite number in"):
                 profile(pair, tol)
 

@@ -20,7 +20,6 @@ from whindex import (
     discrete_negative_profile,
     full_profile,
     negative_profile,
-    positive_profile,
     unitary_twist,
     validate_stable_dissipative,
     winding_number,
@@ -83,7 +82,7 @@ def test_chain_matches_power_oracle_continuous():
         v, w = pair.v, pair.w
         trace, _, _ = negative_profile(pair)
         _assert_matches_oracle(label + "-negative", trace, v, w, zeta_of_minus(w.a))
-        trace, _, _ = positive_profile(pair)
+        trace, _, _ = negative_profile(pair.swapped())
         _assert_matches_oracle(label + "-positive", trace, w, v, zeta_of_minus(v.a))
 
 

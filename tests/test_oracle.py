@@ -156,8 +156,7 @@ def _polynomial(coefficients: str) -> Polynomial:
     ids=["1 1e-320", "1e200 1e200", "1e308 1e308", "1e-200 1e-200", "1 1e-170"],
 )
 def test_stability_tests_refuse_what_they_cannot_evaluate(coefficients, test, message):
-    # Overflow is refused by the checks it reaches, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError) as info:
+    with pytest.raises(EvaluationError) as info:
         test(_polynomial(coefficients))
     assert str(info.value) == message
 

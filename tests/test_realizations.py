@@ -175,6 +175,13 @@ def test_polynomial_refuses_non_finite_coefficients():
             Polynomial(coeffs)
 
 
+def test_polynomial_refuses_no_coefficients_or_a_zero_leading_one():
+    with pytest.raises(StructureError, match="^a polynomial needs at least one coefficient$"):
+        Polynomial(())
+    with pytest.raises(StructureError, match="^leading coefficient must be nonzero$"):
+        Polynomial((1.0, 0.0))
+
+
 def test_diagonal_symbol_factors_block_structure():
     pair = diagonal_symbol_factors([-4, -2, 0, 3, 5])
     assert pair.v.state_dim == 8
@@ -201,6 +208,11 @@ def test_poly_of_matrix_nilpotent_and_constant():
     j2 = np.eye(2, k=1)
     assert opnorm(poly_of_matrix(Polynomial((0, 0, 1)), j2)) == 0.0
     assert opnorm(poly_of_matrix(Polynomial((3.0,)), np.ones((2, 2))) - 3 * np.eye(2)) == 0.0
+
+
+def test_poly_of_matrix_refuses_a_non_square_matrix():
+    with pytest.raises(StructureError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        poly_of_matrix(Polynomial((1.0, 1.0)), np.ones((2, 3)))
 
 
 def test_poly_of_matrix_against_power_sum():
@@ -356,6 +368,19 @@ def test_recovery_rejects_bad_vector():
     bad = evecs[:, 0]  # smallest eigenvalue, well below 1 for degree >= 1
     with pytest.raises(PreconditionError):
         recover_blaschke_pointwise(a, c, phi, bad, 1.0)
+    with pytest.raises(PreconditionError, match="^x must be nonzero$"):
+        recover_blaschke_pointwise(a, c, phi, np.zeros(3), 1.0)
+
+
+def test_recovery_refuses_misshapen_or_non_dissipative_input():
+    rng = np.random.default_rng(14)
+    a, c, phi, x = _recovery_instance(rng, 3, 1)
+    for a_, c_, x_ in ((a[:2], c, x), (a, c[:, :2], x), (a, c, x[:2])):
+        with pytest.raises(StructureError, match="^expected a n x n, c 1 x n and x of length n$"):
+            recover_blaschke_pointwise(a_, c_, phi, x_, 1.0)
+    message = r"^a \+ a\* \+ c\*c does not vanish; a is not the dissipative state map for c$"
+    with pytest.raises(PreconditionError, match=message):
+        recover_blaschke_pointwise(a - np.eye(3), c, phi, x, 1.0)
 
 
 def test_recovery_rejects_excess_degree():
