@@ -31,7 +31,8 @@ omega = a_v omega a_w* + b_v b_w*, for which Q = I - omega* omega holds too,
 and a_w itself as the iteration map M.  Nothing passes through ``d2c``, so
 the discrete path checks the continuous one independently.
 
-No power of M is formed.  Its defect has rank at most m, the symbol size:
+No power of M is formed.  Its defect has rank at most p, the number of
+nonzero rows of c_d, itself at most the symbol size m:
 I - M* M = c_d* c_d, with c_d = c_w for discrete pairs and
 c_d = sqrt(2) c_w (I - a_w)^{-1} = c_w (I + M)/sqrt(2), the output matrix
 of ``c2d(w)``, for continuous ones.  As M and Q are contractions and M
@@ -43,12 +44,16 @@ The chain keeps an orthonormal basis Y of the directions of N_0 dropped so
 far, with Y*, in preallocated d_0 x d_0 buffers; step k drops the right
 singular vectors of c_d M^k B_0, projected off Y, with s^2 > tol: the cut
 sigma^2 >= 1 - tol on M B_k, as sigma^2 = 1 - s^2, without the cancellation
-against 1.  A step drops at most m directions, so with d_k left at least
-ceil(d_k / m) steps remain; the chain builds the m x n rows c_d M^j of
-those steps and forms all their images c_d M^j B_0 with one product.  One
-isometry check of [M; c_d] to within tol replaces the per-step refusal of
-sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like the
-validation of the factors, it decides with the Frobenius screen first.
+against 1.  A zero row of c_w, an output that carries no state, is exactly
+zero in c_d and in every c_d M^j, so it drops nothing, and the chain steps
+with the p nonzero rows alone.  A step drops at most p directions, so with
+d_k left at least ceil(d_k / p) steps remain; the chain builds the p x n
+rows c_d M^j of those steps and forms all their images c_d M^j B_0 with one
+product.  It looks for zero rows only where 1 < m < d_0: a single row or a
+first batch of one step costs the same with all m rows.  One isometry check
+of [M; c_d], with all m rows, to within tol replaces the per-step refusal
+of sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like
+the validation of the factors, it decides with the Frobenius screen first.
 
 Validation itself proves most of that check.  A continuous factor passes
 with E = a + a* + c*c of 2-norm at most delta = VALIDATION_TOL, and then
@@ -59,12 +64,17 @@ block of the validated S*S - I.  So the map needs no pole test
 delta and an explicit bound on the rounding of the computed [M; c_d] leave
 no proof that its defect is within tol/2 (``_isometry_certified``).
 
-A scalar chain (m = 1) drops one direction per step or is refused, so Y
-spans the earlier images and the s of step k is the distance of image k from
-them: |r_kk| of the QR of the d_0 images as columns (Golub & Van Loan, 4th
-ed., 5.2).  One zgeqrf decides every step as an SVD per step would, except
-where s^2 is within roundoff of tol.  Chains with m > 1 keep that SVD: one of
-their steps may keep directions of its block that a QR would project off.
+A chain with one row (p = 1: a scalar symbol, or a factor with one output
+that carries state, as both of ``diagonal_symbol_factors([-k, k])``) drops
+one direction per step or is refused, so Y spans the earlier images and the
+s of step k is the distance of image k from them: |r_kk| of the QR of the
+d_0 images as columns (Golub & Van Loan, 4th ed., 5.2).  One zgeqrf decides
+every step as an SVD per step would, except where s^2 is within roundoff of
+tol.  Chains with p > 1 keep that SVD: one of their steps may keep
+directions of its block that a QR would project off.  A factor whose
+outputs are mixed by a unitary U keeps all m rows of U c_w, though they
+have the rank of c_w: cutting them to that rank would be a numerical rank
+decision of its own.
 """
 
 from __future__ import annotations
@@ -266,13 +276,19 @@ def _kernel_dimension_chain(
                     f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}",
                     eigenvalue=residual,
                 )
+    if 1 < len(rows) < dims[0]:  # one row, or a first batch of one step, gains nothing
+        # A zero row of c_d stays zero in every c_d M^j and drops nothing.  With
+        # none left, all m rows step, so step 0 drops nothing and is refused.
+        nonzero = rows.any(axis=1)
+        if 0 < np.count_nonzero(nonzero) < len(rows):
+            rows = rows[nonzero]
     # Y* and its conjugate Y^T of the dropped directions fill the leading rows.
     yh = np.empty((dims[0], dims[0]), dtype=complex)
     yt = np.empty(yh.shape, dtype=complex)
     block, size = [rows], len(rows)
     while True:
-        # A step drops at most ``size`` (the symbol size m) directions, so at
-        # least ceil(d_k / m) steps remain.
+        # A step drops at most ``size`` (the nonzero rows of c_d) directions,
+        # so at least ceil(d_k / size) steps remain.
         for _ in range(-(-dims[-1] // size) - 1):
             block.append(block[-1] @ m)
         images = (np.concatenate(block) if len(block) > 1 else rows) @ basis

@@ -5,7 +5,8 @@ conjugation, re-Hermitizes each power and counts its eigenvalues at or
 above 1 - tol.  Every step costs two n x n products and an n x n
 eigendecomposition, and the counts drift for a non-normal M, so the
 reference is only meant for the small, well-separated cases the tests use.
-It shares no code with whindex.
+It shares no code with whindex.  ``step_rows`` gives the rows of c_d that
+whindex's chain steps with, which fix the decompositions the tests count.
 """
 
 from __future__ import annotations
@@ -42,3 +43,13 @@ def kernel_dimension_chain(q, m, tol: float, cap: int) -> list[int]:
             raise ChainFailure(f"kernel dimensions are not strictly decreasing: {dims + [count]}")
         dims.append(count)
     return dims
+
+
+def step_rows(c, d0: int) -> int:
+    """Rows of c_d that the chain of whindex steps with from d_0, for the output
+    matrix ``c`` of its factor: the nonzero ones where d_0 exceeds the m rows of
+    c, else all m.  c_d = (c + c M)/sqrt(2), or c itself for a discrete factor,
+    keeps exactly the zero rows of c, and a zero row drops no direction."""
+    c = np.asarray(c)
+    nonzero = int(np.count_nonzero(c.any(axis=1)))
+    return nonzero if d0 > len(c) and nonzero else len(c)

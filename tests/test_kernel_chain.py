@@ -15,6 +15,7 @@ from whindex import (
     SymbolPair,
     blaschke_realization,
     c2d,
+    constant_realization,
     diagonal_symbol_factors,
     direct_sum,
     discrete_negative_profile,
@@ -132,8 +133,18 @@ def _twisted_pair(rng, specs_v, specs_w):
     return SymbolPair(inner(specs_v), inner(specs_w))
 
 
+def _left_twisted(pair, rng):
+    """``pair`` with each factor's outputs mixed by its own random unitary, U1 V
+    and U2 W.  The symbol U1 V W* U2* has the same indices and omega, but c has
+    no zero row, so the chain of a diagonal pair steps with all m rows."""
+    m = pair.output_dim
+    return SymbolPair(*(unitary_twist(r, random_unitary(rng, m), "left") for r in (pair.v, pair.w)))
+
+
 def test_chain_bases_stay_orthonormal_at_k128(monkeypatch):
-    dims, worst = _dropped_bases(diagonal_symbol_factors([-128, 128]), monkeypatch)
+    # U diag(zeta^128, 1): 128 steps of the SVD path, two rows each.
+    pair = _left_twisted(diagonal_symbol_factors([-128, 128]), np.random.default_rng(3113))
+    dims, worst = _dropped_bases(pair, monkeypatch)
     assert tuple(dims) == tuple(range(128, -1, -1))
     assert worst <= 1e-12
 
@@ -206,6 +217,14 @@ def test_step_zero_refuses_a_coupling_that_stretches():
     assert info.value.eigenvalue == 1 - 2.25
 
 
+def test_chain_with_only_zero_rows_refuses_its_first_step():
+    # c_d = 0 drops nothing: no row is left to step with, and step 0 is refused
+    # as the chain of all m zero rows refuses it.
+    w = Realization(0.5 * np.eye(3), np.zeros((3, 2)), np.zeros((2, 3)), np.eye(2), DISCRETE)
+    with pytest.raises(PipelineError, match=r"not strictly decreasing: \[3, 3\]$"):
+        indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), 1e-7)
+
+
 def test_chain_refuses_a_drop_larger_than_the_one_before():
     # M e2 = e1 and M e3 = e4 with c_d = [e1*; e4*], so [M; c_d] is an isometry.
     # On N_0 = span(e1, e2, e3) the chain reads [3, 2, 0]: drops 1, then 2,
@@ -249,12 +268,13 @@ class _DecompositionRecorder:
 
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega.
-    Inside them, a scalar chain that runs makes one QR of its d_0 x d_0 images
-    and no SVD, and every decomposition of a chain with m > 1 is an SVD with at
-    most m rows: the chain takes N_0 as a basis, and the Frobenius screen
-    decides the isometry check of a genuine pair without a decomposition.  The
-    decompositions are counted at the LAPACK wrappers, and numpy's SVD is
-    never called."""
+    Inside them, a chain that runs with one row of c_d (``chain_oracle.step_rows``:
+    m = 1, or one nonzero row where d_0 exceeds m) makes one QR of its
+    d_0 x d_0 images and no SVD, and every decomposition of any other chain is
+    an SVD with at most as many rows as it steps with: the chain takes N_0 as a
+    basis, and the Frobenius screen decides the isometry check of a genuine
+    pair without a decomposition.  The decompositions are counted at the LAPACK
+    wrappers, and numpy's SVD is never called."""
     calls, inside, numpy_svds = [], [], []
     recorder = _DecompositionRecorder(core._lapack(), calls, inside)
     monkeypatch.setattr(core, "_lapack", lambda: recorder)
@@ -271,21 +291,24 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     chain = indices._kernel_dimension_chain
     chains = []
 
-    def traced_chain(basis, *args, **kwargs):
+    def traced_chain(basis, w, *args, **kwargs):
         inside.append(True)
         start = len(calls)
         try:
-            dims = chain(basis, *args, **kwargs)
+            dims = chain(basis, w, *args, **kwargs)
         finally:
             inside.clear()
-        chains.append((dims, [call[1:] for call in calls[start:]]))
+        rows = chain_oracle.step_rows(w.c, dims[0])
+        chains.append((dims, rows, [call[1:] for call in calls[start:]]))
         return dims
 
     monkeypatch.setattr(indices, "_kernel_dimension_chain", traced_chain)
     rng = np.random.default_rng(3106)
     pairs = [diagonal_symbol_factors([-16, 16]), diagonal_symbol_factors([-3, 2, -1])]
+    pairs += [_left_twisted(pairs[0], rng)]
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
     pairs.append(_scalar_pair(*(random_blaschke_spec(rng, d) for d in (3, 9))))
+    fewer_rows = 0
     for pair in pairs:
         chains.clear()
         calls.clear()
@@ -295,12 +318,16 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
         # An empty omega has its step 0 without LAPACK.
         assert outside == ([("svd", shape)] if min(shape) else [])
         assert len(chains) == 2
-        for dims, recorded in chains:
-            if pair.output_dim == 1:
+        for dims, rows, recorded in chains:
+            fewer_rows += dims[0] > 0 and rows < pair.output_dim
+            if rows == 1:
                 assert recorded == ([("qr", (dims[0], dims[0]))] if dims[0] else [])
                 continue
             assert [name for name, _ in recorded] == ["svd"] * (len(dims) - 1)
-            assert all(shape[0] <= pair.output_dim for _, shape in recorded)
+            assert all(shape[0] <= rows for _, shape in recorded)
+    # Both chains of diag(zeta^16, 1) step with one row, and the negative one
+    # of diag(zeta^3, 1, zeta) with two.
+    assert fewer_rows == 3
     assert numpy_svds == []
 
 
@@ -324,17 +351,23 @@ class _FailingDecompositions:
 
 
 @pytest.mark.parametrize(
-    "decomposition", ["step zero", "chain step", "scalar chain", "opnorm", "real opnorm"]
+    "decomposition",
+    ["step zero", "chain step", "scalar chain", "one-row chain", "opnorm", "real opnorm"],
 )
 def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
-    w = diagonal_symbol_factors([-2, 2]).w
+    # U diag(zeta^2, 1) steps with both rows; diag(zeta^3, 1) with its one nonzero row.
+    w = _left_twisted(diagonal_symbol_factors([-2, 2]), np.random.default_rng(3114)).w
     sw, basis = schur_form(w.a), np.eye(w.state_dim)[:, :1]
     scalar = blaschke_realization(BlaschkeSpec(1.0, (-1.0, -2.0)))
+    static = diagonal_symbol_factors([-3, 3]).w
     decompose = {
         "step zero": lambda: indices._step_zero(0.5 * np.eye(2, dtype=complex), CLUSTER_TOL),
         "chain step": lambda: indices._kernel_dimension_chain(basis, w, sw, CLUSTER_TOL),
         "scalar chain": lambda: indices._kernel_dimension_chain(
             basis, scalar, schur_form(scalar.a), CLUSTER_TOL
+        ),
+        "one-row chain": lambda: indices._kernel_dimension_chain(
+            np.eye(3), static, schur_form(static.a), CLUSTER_TOL
         ),
         "opnorm": lambda: core.opnorm(np.ones((2, 3), dtype=complex)),
         "real opnorm": lambda: core.opnorm(np.ones((2, 3))),
@@ -342,7 +375,7 @@ def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
     failing = _FailingDecompositions(core._lapack())
     monkeypatch.setattr(core, "_lapack", lambda: failing)
     monkeypatch.setattr(indices, "_lapack", lambda: failing)
-    routine = "zgeqrf" if decomposition == "scalar chain" else "gesdd"
+    routine = "zgeqrf" if decomposition.endswith("chain") else "gesdd"
     with pytest.raises(EvaluationError, match=rf"{routine} info 1\)"):
         decompose()
 
@@ -521,16 +554,21 @@ def _chain_outcome(chain, *args):
         return str(exc)
 
 
+def _chain_inputs(pair):
+    """(basis, factor, Schur form) of the negative and the positive chain of ``pair``."""
+    sv, sw = indices._validated(pair, CLUSTER_TOL)
+    omega = indices._coupling(pair, sv, sw).x
+    _, positive, negative = indices._step_zero(omega, CLUSTER_TOL)
+    return (negative, pair.w, sw), (positive, pair.v, sv)
+
+
 def test_scalar_chain_qr_decides_as_the_stepwise_chain():
     pairs = [_scalar_pair(*specs) for specs in _random_specs(3109, 80, (2, 40))]
     pairs += [_near_axis_pair(eps) for eps in NEAR_AXIS_EPS]
     steps = refusals = 0
     for pair in pairs:
         for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
-            sv, sw = indices._validated(flavored, CLUSTER_TOL)
-            omega = indices._coupling(flavored, sv, sw).x
-            _, positive, negative = indices._step_zero(omega, CLUSTER_TOL)
-            for basis, w, form in ((negative, flavored.w, sw), (positive, flavored.v, sv)):
+            for basis, w, form in _chain_inputs(flavored):
                 args = basis, w, form, CLUSTER_TOL
                 expected = _chain_outcome(_stepwise_chain, *args)
                 assert _chain_outcome(indices._kernel_dimension_chain, *args) == expected
@@ -540,3 +578,53 @@ def test_scalar_chain_qr_decides_as_the_stepwise_chain():
                     steps += len(expected) - 1
     # Both outcomes are compared: 776 steps of answered chains and 76 refusals.
     assert steps >= 700 and refusals >= 70
+
+
+def _closed_form_dims(indices_, sign):
+    """d_k = sum_j max(kappa_j - k, 0), k = 0 .. max kappa, of the side whose
+    index magnitudes kappa_j are the indices of ``sign`` -1 (negative) or 1."""
+    kappa = [sign * i for i in indices_ if sign * i > 0]
+    return [sum(max(x - k, 0) for x in kappa) for k in range(max(kappa, default=0) + 1)]
+
+
+def _static_channel_pairs(rng):
+    """(pair, indices) of diagonal pairs and of direct sums of scalar Blaschke
+    and constant blocks, whose factors have outputs that carry no state."""
+    for _ in range(16):
+        powers = [int(p) for p in rng.integers(-6, 7, int(rng.integers(2, 5)))]
+        yield diagonal_symbol_factors(powers), sorted(powers)
+
+    def block(degree):
+        if not degree:  # a constant unimodular entry: a zero row of c
+            return constant_realization([[np.exp(2j * np.pi * rng.uniform())]])
+        return blaschke_realization(random_blaschke_spec(rng, degree))
+
+    for _ in range(16):
+        shape = int(rng.integers(2, 5)), 2
+        degrees = rng.integers(1, 6, shape) * (rng.uniform(size=shape) < 0.5)
+        v = direct_sum(*(block(int(f)) for f, _ in degrees))
+        w = direct_sum(*(block(int(g)) for _, g in degrees))
+        yield SymbolPair(v, w), sorted(int(f - g) for f, g in degrees)
+
+
+def test_dropping_zero_rows_never_changes_a_decision():
+    # Every chain against the closed form, the stepwise chain on all m rows of
+    # c_d, and the chains of the same symbol with each factor left-twisted.
+    rng = np.random.default_rng(3115)
+    fewer_rows = {False: 0, True: 0}
+    for pair, truth in _static_channel_pairs(rng):
+        expected = _closed_form_dims(truth, -1), _closed_form_dims(truth, 1)
+        for discrete in (False, True):
+            flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
+            label = f"{truth} discrete={discrete}"
+            for dims, (basis, w, form) in zip(expected, _chain_inputs(flavored)):
+                args = basis, w, form, CLUSTER_TOL
+                assert indices._kernel_dimension_chain(*args) == dims, label
+                assert _stepwise_chain(*args) == dims, label
+                fewer_rows[discrete] += dims[0] > 0 and (
+                    chain_oracle.step_rows(w.c, dims[0]) < w.output_dim)
+            twisted = full_profile(_left_twisted(flavored, rng))
+            got = twisted.negative_trace.kernel_dims, twisted.positive_trace.kernel_dims
+            assert got == tuple(map(tuple, expected)), label
+    # The chains that step with fewer rows than m: 23 in each flavor.
+    assert fewer_rows[False] == fewer_rows[True] >= 20, fewer_rows

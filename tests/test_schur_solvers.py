@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
+import chain_oracle
 import kronecker_oracle as kron
 from whindex import (
     EvaluationError,
@@ -18,12 +19,15 @@ from whindex import (
     full_profile,
     solve_stein,
     solve_sylvester,
+    unitary_twist,
     zeta_of_minus,
 )
 from whindex.core import opnorm
 from whindex import core, equations, indices
 from whindex.equations import CONDITION_LIMIT, SOLVE_TOL, _disk_map, schur_form
-from whindex.sampling import random_blaschke_spec, random_hurwitz_matrix, random_schur_matrix
+from whindex.sampling import (
+    random_blaschke_spec, random_hurwitz_matrix, random_schur_matrix, random_unitary,
+)
 
 #: Resonance gaps of the side-by-side gate sweep, 1e-6 down to 1e-14.
 GAPS = [10.0 ** -e for e in range(6, 15)]
@@ -358,13 +362,18 @@ class _LapackCounter:
 
 
 def _profile_pairs():
-    """Seeded continuous pairs of the work-count tests."""
+    """Seeded continuous pairs of the work-count tests.  The last one is
+    V = U1 diag(1, zeta^16) and W = U2 diag(zeta^16, 1): outputs mixed by
+    unitaries leave c no zero row, so its chains step with both rows."""
     specs = np.random.default_rng(17)
     scalar = SymbolPair(
         blaschke_realization(random_blaschke_spec(specs, 9)),
         blaschke_realization(random_blaschke_spec(specs, 13)),
     )
-    return diagonal_symbol_factors([-3, 3]), diagonal_symbol_factors([-16, 16]), scalar
+    diagonal = diagonal_symbol_factors([-16, 16])
+    twisted = SymbolPair(*(unitary_twist(r, random_unitary(specs, 2), "left")
+                           for r in (diagonal.v, diagonal.w)))
+    return diagonal_symbol_factors([-3, 3]), diagonal, scalar, twisted
 
 
 def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
@@ -393,32 +402,37 @@ def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
     """Every LAPACK routine a profile calls, counted at the wrappers of the
     three modules that call LAPACK: two Schur forms, the solve with its two
     Gramians, one SVD for omega and one for its residual norm.  A chain that
-    runs makes one SVD per step for m > 1, and one QR of its images and no
-    SVD for m = 1.  A continuous side whose chain runs evaluates the disk
-    map by one triangular solve and no condition estimate: validation of the
-    factor proves it has no pole.  A discrete profile inverts two shifted
+    runs makes one QR of its images and no SVD where it steps with one row of
+    c_d (``chain_oracle.step_rows``: m = 1, or one nonzero row where d_0
+    exceeds m, as for diagonal pairs), and one SVD per step otherwise.  A
+    continuous side whose chain runs evaluates the disk map by one triangular
+    solve and no condition estimate: validation of the factor proves it has
+    no pole.  A discrete profile inverts two shifted
     Schur factors for the Cayley factors of its Stein solve instead."""
     counter = _LapackCounter(core._lapack())
     for module in (equations, core, indices):
         monkeypatch.setattr(module, "_lapack", lambda: counter)
     decompositions = {False: [], True: []}
     for pair in _profile_pairs():
-        scalar = pair.output_dim == 1
         for discrete in (False, True):
             flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
             counter.calls.clear()
             profile = full_profile(flavored)
-            dims = [profile.negative_trace.kernel_dims, profile.positive_trace.kernel_dims]
-            steps, running = sum(len(d) - 1 for d in dims), sum(d[0] > 0 for d in dims)
-            budget = {"zgees": 2, "ztrsyl": 3, "ztrcon": 0, "zgesdd": 2 + (0 if scalar else steps)}
-            budget.update({"zgeqrf": running} if scalar and running else {})
+            chains = [(trace.kernel_dims, chain_oracle.step_rows(factor.c, trace.kernel_dims[0]))
+                      for trace, factor in ((profile.negative_trace, flavored.w),
+                                            (profile.positive_trace, flavored.v))]
+            running = sum(dims[0] > 0 for dims, _ in chains)
+            qrs = sum(dims[0] > 0 and rows == 1 for dims, rows in chains)
+            steps = sum(len(dims) - 1 for dims, rows in chains if rows > 1)
+            budget = {"zgees": 2, "ztrsyl": 3, "ztrcon": 0, "zgesdd": 2 + steps}
+            budget.update({"zgeqrf": qrs} if qrs else {})
             budget.update({"ztrtri": 2} if discrete else {"ztrtrs": running})
             # Counters compare a missing routine as zero calls, as ztrcon's must be.
             calls = {name: count for name, count in counter.calls.items()
                      if not name.endswith("_lwork")}
             assert collections.Counter(calls) == collections.Counter(budget)
             decompositions[discrete].append((budget["zgesdd"], budget.get("zgeqrf", 0)))
-    assert decompositions[False] == decompositions[True] == [(8, 0), (34, 0), (2, 1)]
+    assert decompositions[False] == decompositions[True] == [(2, 2), (2, 2), (2, 1), (34, 0)]
 
 
 def test_gate_accepts_a_well_conditioned_equation_near_the_axis():
