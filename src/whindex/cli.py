@@ -103,8 +103,16 @@ def load_problem_pair(payload) -> SymbolPair:
 
 
 def build_report(profile: IndexProfile, tol: float) -> dict:
-    """Flatten an index profile into the serializable report shape."""
+    """Flatten an index profile into the serializable report shape.  A side's
+    ``q_eigenvalues`` are the ascending eigenvalues 1 - s^2 of its contraction,
+    s the singular values of omega, padded with ones to its state dimension,
+    and its ``cross_check_margins`` entry is their distance to the cut 1 - tol."""
     neg, pos = profile.negative_trace, profile.positive_trace
+    s = profile.singular_values
+    q = {
+        side: np.concatenate([1.0 - s * s, [1.0] * (trace.omega.shape[1] - len(s))])
+        for side, trace in (("negative", neg), ("positive", pos))
+    }
     return {
         "all_indices": list(profile.all_indices),
         "negative_indices": [-k for k in profile.negative],
@@ -118,11 +126,11 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
         },
         "diagnostics": {
             "residuals": {"omega": neg.residuals["omega"]},
-            "q_eigenvalues": {
-                "negative": [float(x) for x in neg.q_eigenvalues],
-                "positive": [float(x) for x in pos.q_eigenvalues],
+            "q_eigenvalues": {side: [float(x) for x in values] for side, values in q.items()},
+            "cross_check_margins": {
+                side: float(np.abs(values - (1.0 - tol)).min()) if values.size else None
+                for side, values in q.items()
             },
-            "cross_check_margins": profile.diagnostics["cross_check_margins"],
         },
         "tool_version": __version__,
         "tolerance_used": tol,

@@ -7,8 +7,8 @@ give the constant transfer function ``d``.  All values are immutable after
 construction and every operation here is a pure function.
 
 The module also loads SciPy's LAPACK wrappers on first use (``_lapack``),
-which the solvers of ``equations``, every SVD (``_svd``) and the general
-eigenvalue solves (``_eigvals``) call.
+which the solvers of ``equations``, every SVD (``_svd``), the Schur forms
+(``_schur_factors``) and the general eigenvalue solves (``_eigvals``) call.
 """
 
 from __future__ import annotations
@@ -106,6 +106,18 @@ def _eigvals(g: np.ndarray) -> np.ndarray:
     if info:
         raise EvaluationError(f"eigenvalues did not converge (zgeev info {info})")
     return w
+
+
+def _schur_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur factors (t, u) of a finite square complex a = u t u*, by one call of
+    LAPACK zgees without reordering.  A 0 x 0 ``a`` is its own factors.  A
+    factorization that does not converge raises ``EvaluationError``."""
+    if len(a) == 0:
+        return a, a
+    t, _, _, u, _, info = _lapack().zgees(lambda _: 0, a)
+    if info != 0:
+        raise EvaluationError(f"Schur factorization failed to converge (zgees info {info})")
+    return t, u
 
 
 def opnorm(x: np.ndarray) -> float:
@@ -309,11 +321,12 @@ def validate_stable_dissipative(r: Realization) -> ValidationReport:
     Stability means every eigenvalue of ``a`` lies strictly in the open left
     half plane.  The three residuals measure ``a + a* + c*c = 0``, unitarity
     of ``d`` and the coupling ``b = -c*d``; the verdict holds them to
-    ``VALIDATION_TOL``, as ``full_profile`` does.
+    ``VALIDATION_TOL``, as ``full_profile`` does, with the eigenvalues on the
+    diagonal of the same Schur form (``_schur_factors``), so both give one verdict.
     """
     if r.flavor != CONTINUOUS:
         raise StructureError("validate_stable_dissipative expects a continuous realization")
-    return _validation_report(r, _eigvals(r.a))
+    return _validation_report(r, _schur_factors(r.a)[0].diagonal())
 
 
 def validate_stable_unitary(r: Realization) -> ValidationReport:
@@ -323,11 +336,12 @@ def validate_stable_unitary(r: Realization) -> ValidationReport:
     disk.  The governing residual is ``|S*S - I|`` for the stacked system
     matrix ``S = [[a, b], [c, d]]``; its diagonal and off-diagonal blocks are
     reported individually as well.  The verdict holds it to ``VALIDATION_TOL``,
-    as ``full_profile`` does.
+    as ``full_profile`` does, with the eigenvalues on the diagonal of the same
+    Schur form (``_schur_factors``), so both give one verdict.
     """
     if r.flavor != DISCRETE:
         raise StructureError("validate_stable_unitary expects a discrete realization")
-    return _validation_report(r, _eigvals(r.a))
+    return _validation_report(r, _schur_factors(r.a)[0].diagonal())
 
 
 def _validation_report(r: Realization, eigenvalues: np.ndarray) -> ValidationReport:

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite, _lapack, _screen, _svd, hermitize, opnorm
+from .core import _finite, _lapack, _schur_factors, _screen, _svd, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -151,12 +151,7 @@ def schur_form(a: np.ndarray) -> SchurForm:
 
 def _schur(a: np.ndarray) -> SchurForm:
     """``schur_form`` of a finite complex square ``a``, such as a Realization's, unchecked."""
-    if len(a) == 0:
-        return SchurForm(a, a, a)
-    t, _, _, u, _, info = _lapack().zgees(lambda _: 0, a)
-    if info != 0:
-        raise EvaluationError(f"Schur factorization failed to converge (zgees info {info})")
-    return SchurForm(a, t, u)
+    return SchurForm(a, *_schur_factors(a))
 
 
 def _factored(m: np.ndarray | SchurForm) -> SchurForm:

@@ -51,18 +51,11 @@ d_k left at least ceil(d_k / p) steps remain; the chain builds the p x n
 rows c_d M^j of those steps and forms all their images c_d M^j B_0 with one
 product.  It looks for zero rows only where 1 < m < d_0: a single row or a
 first batch of one step costs the same with all m rows.  One isometry check
-of [M; c_d], with all m rows, to within tol replaces the per-step refusal
-of sigma^2 > 1 + tol and covers it, because |[M; c_d] y| >= |M y|.  Like
-the validation of the factors, it decides with the Frobenius screen first.
-
-Validation itself proves most of that check.  A continuous factor passes
-with E = a + a* + c*c of 2-norm at most delta = VALIDATION_TOL, and then
-M*M + c_d*c_d - I = 2 R* E R with R = (I - a)^{-1} of norm at most
-1/(1 - delta/2); a discrete one has [M; c_d] = [a; c], whose defect is a
-block of the validated S*S - I.  So the map needs no pole test
-(``equations._disk_map``), and the chain forms the Gram matrix only where
-delta and an explicit bound on the rounding of the computed [M; c_d] leave
-no proof that its defect is within tol/2 (``_isometry_certified``).
+of K = [M; c_d], with all m rows, to within tol replaces the per-step refusal
+of sigma^2 > 1 + tol and covers it, because |K y| >= |M y|.  It forms
+K*K - I with one product and, like the validation of the factors, decides
+with its Frobenius norm first; where that screen does not accept, the
+eigenvalues of K*K - I decide, without the cancellation of eigvalsh(K*K) - 1.
 
 A chain with one row (p = 1: a scalar symbol, or a factor with one output
 that carries state, as both of ``diagonal_symbol_factors([-k, k])``) drops
@@ -79,13 +72,12 @@ decision of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DISCRETE,
-    VALIDATION_TOL,
     Realization,
     SymbolPair,
     _frobenius,
@@ -111,17 +103,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Intermediate matrices and diagnostics of one pipeline run.
-
-    ``q_eigenvalues`` are the ascending eigenvalues 1 - s^2 of the
-    contraction Q = I - omega* omega, padded with ones to the state
-    dimension of the side.
-    """
+    """Coupling, kernel dimensions and solve residual of one pipeline run."""
 
     omega: np.ndarray
     kernel_dims: tuple[int, ...]
     residuals: dict
-    q_eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,6 +117,8 @@ class IndexProfile:
     ``negative`` and ``positive`` hold the index magnitudes kappa_j and
     omega_j in descending order; ``all_indices`` is the full m-element
     multiset in ascending order, negative entries reported as -kappa_j.
+    ``singular_values`` are those of omega, descending, from which step 0 of
+    both sides cut N_0.
     """
 
     negative: tuple[int, ...]
@@ -141,7 +129,7 @@ class IndexProfile:
     all_indices: tuple[int, ...]
     negative_trace: PipelineTrace
     positive_trace: PipelineTrace
-    diagnostics: dict = field(default_factory=dict)
+    singular_values: np.ndarray
 
 
 def _validated(pair: SymbolPair, tol: float) -> tuple[SchurForm, SchurForm]:
@@ -189,58 +177,6 @@ def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, n
     return s, u[:, r:], vh[r:].conj().T
 
 
-def _isometry_certified(w: Realization, sw: SchurForm, tol: float) -> bool:
-    """Whether the balance defect |E|_2 <= delta = ``VALIDATION_TOL`` to which
-    validation held the factor w proves that the computed [M; c_d] of the chain
-    passes its isometry check, whose computed Gram defect it then bounds by tol/2.
-
-    Exactly, E = a + a* + c*c for a continuous factor, and with R = (I - a)^{-1},
-    M = 2R - I and c_d = sqrt(2) c R,
-
-        M*M + c_d*c_d - I = R* ((I + a)*(I + a) + 2c*c - (I - a)*(I - a)) R = 2 R* E R,
-
-    while Re<(I - a)x, x> = |x|^2 + |cx|^2/2 - <Ex, x>/2 gives |R| <= r = 1/(1 - |E|/2).
-    So the defect is at most 2|E| r^2.  A discrete factor has M = a and c_d = c,
-    and its defect is the leading block of E = S*S - I, at most |E|.
-
-    Rounding (2-norms; Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed. 2002).  A complex operation errs by at most 6u, u = 2^-53, as a
-    division errs by sqrt(2) gamma_4 (Lemma 3.5); g = 6ku / (1 - 6ku) for
-    k = n + m + 1 bounds every sum, product (sec. 3.5) and triangular solve
-    (Thm 8.5) below.  B = 1 + |t|_F bounds 1 + |a| and 1 + ||t||, with ||x|| the
-    norm of the entrywise magnitudes, at most sqrt(rank) |x|.  zgees and
-    eigvalsh are backward stable; their backward errors are taken as g times the
-    norm (the LAPACK Users' Guide, 3rd ed., sec. 4.7-4.8, leaves the factor of
-    u unspecified).  Factors within 1% of 1 are absorbed, which holds when
-    delta <= 1e-2 and the bound below is at most tol/2 < 1/2.
-    - Validation held the computed E to delta; E itself is within
-      g (2 ||a|| + ||c||^2) and the rounding of that norm of it, with
-      |c|^2 <= |E| + 2|a|: |E| <= delta + 4 (n + m) g B.
-    - The Schur form is exact for a + F', |F'| <= 4.1 g B, with a unitary within
-      g of the computed one, and moves M by 2 |R' F' R| <= 8.3 g B, where
-      R' = (I - a - F')^{-1}.
-    - ztrtrs solves each column of y = (I - t)^{-1}(I + t) backward stably
-      (forming I -+ t included), within 1.4 n g B; the two products with u add
-      2.2 n g, and u's distance to unitary 2.1 g: |M^ - M| <= 14 n g B.
-    - c_d^ = (c + c M^)/sqrt(2).  The errors of the Schur form and of the solve
-      reach it through c R', a block of an isometry to within 1%, so |c R'| <= 0.72;
-      those of the products through |c| <= 1.43 sqrt(B): |c_d^ - c_d| <= 10.5 (n + m) g B.
-    - So eps = |[M^; c_d^] - [M; c_d]| <= 24.5 (n + m) g B, its Gram defect is
-      within 2.03 eps of the exact one, and the Gram matrix and the eigenvalues
-      of the check add 1.1 (n + 1) g.
-    Summed, the certificate is 2 delta / (1 - delta/2)^2 + 64 (n + m) g B <= tol/2.
-    A discrete [M; c_d] is w's own data; validating S*S - I and forming the
-    Gram matrix err by at most 2.2 (n + m) g: delta + 3 (n + m) g <= tol/2.
-    """
-    n, m, delta = w.state_dim, w.output_dim, VALIDATION_TOL
-    k = 6.0 * (n + m + 1) * 2.0**-53
-    g = k / (1.0 - k)
-    if w.flavor == DISCRETE:
-        return delta + 3.0 * (n + m) * g <= 0.5 * tol
-    defect = 2.0 * delta / (1.0 - 0.5 * delta) ** 2
-    return defect + 64.0 * (n + m) * g * (1.0 + _frobenius(sw.t)) <= 0.5 * tol
-
-
 def _kernel_dimension_chain(
     basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
 ) -> list[int]:
@@ -251,13 +187,11 @@ def _kernel_dimension_chain(
     as in the module docstring.  The disk map of a continuous w has no pole
     test: with a + a* + c*c = E, Re<(I - a)x, x> >= (1 - |E|/2)|x|^2, so I - a
     is far from singular for every factor that validation accepts, and only an
-    exactly singular one fails the triangular solve.  The isometry check runs
-    unless ``_isometry_certified`` proves it passes from the bound on |E|_2 that
-    validation establishes, and always for a tol below 2 VALIDATION_TOL, where
-    it also refuses a map stretched by a pole.  A chain whose drops are
-    not positive and non-increasing means the input was not a genuine
-    unimodular symbol pair at this tolerance; as it starts at most at n, it
-    ends within n steps.
+    exactly singular one fails the triangular solve.  The isometry check of
+    [M; c_d] runs on every chain that builds them, and refuses a map stretched
+    by a pole as well.  A chain whose drops are not positive and non-increasing
+    means the input was not a genuine unimodular symbol pair at this tolerance;
+    as it starts at most at n, it ends within n steps.
     """
     dims = [basis.shape[1]]
     if not dims[0]:
@@ -267,15 +201,15 @@ def _kernel_dimension_chain(
     else:  # (I - a_w)^{-1} = (I + M)/2, as in ``cayley``, so c_d needs no solve
         m = _disk_map(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
-    if not _isometry_certified(w, sw, tol):
-        gram = m.conj().T @ m + rows.conj().T @ rows
-        if not _screen(_frobenius(_minus_identity(gram.copy())), tol):
-            residual = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
-            if residual > tol:
-                raise ContractionViolationError(
-                    f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}",
-                    eigenvalue=residual,
-                )
+    stacked = np.concatenate([m, rows])
+    defect = _minus_identity(stacked.conj().T @ stacked)
+    if not _screen(_frobenius(defect), tol):
+        residual = float(np.abs(np.linalg.eigvalsh(defect)).max())
+        if residual > tol:
+            raise ContractionViolationError(
+                f"|M*M + c_d*c_d - I| = {residual!r} exceeds tolerance {tol}",
+                eigenvalue=residual,
+            )
     if 1 < len(rows) < dims[0]:  # one row, or a first batch of one step, gains nothing
         # A zero row of c_d stays zero in every c_d M^j and drops nothing.  With
         # none left, all m rows step, so step 0 drops nothing and is refused.
@@ -320,20 +254,13 @@ def _kernel_dimension_chain(
 
 
 def _side(
-    omega: EquationSolution, s: np.ndarray, basis: np.ndarray, w: Realization, sw: SchurForm,
-    tol: float,
+    omega: EquationSolution, basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
 ) -> tuple[PipelineTrace, list[int], list[int]]:
-    """Chain of one side from its coupling omega and step 0 of ``_step_zero``;
+    """Chain of one side from its coupling omega and its N_0 from ``_step_zero``;
     ``w`` is the factor on the state space of ``basis``, whose map M iterates."""
-    # ``_validated`` held w's balance defect to VALIDATION_TOL, as the chain's certificate assumes.
     dims = _kernel_dimension_chain(basis, w, sw, tol)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
-    trace = PipelineTrace(
-        omega=omega.x,
-        kernel_dims=tuple(dims),
-        residuals={"omega": omega.residual},
-        q_eigenvalues=np.concatenate([1.0 - s * s, [1.0] * (len(basis) - len(s))]),
-    )
+    trace = PipelineTrace(omega.x, tuple(dims), {"omega": omega.residual})
     return trace, mu, [sum(m >= j for m in mu) for j in range(1, mu[0] + 1 if mu else 1)]
 
 
@@ -349,8 +276,8 @@ def negative_profile(
     """
     sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
-    s, _, basis = _step_zero(omega.x, tol)
-    return _side(omega, s, basis, pair.w, sw, tol)
+    _, _, basis = _step_zero(omega.x, tol)
+    return _side(omega, basis, pair.w, sw, tol)
 
 
 def discrete_negative_profile(
@@ -381,10 +308,10 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
     s, positive_basis, negative_basis = _step_zero(omega.x, tol)
-    negative_trace, mu, kappa = _side(omega, s, negative_basis, pair.w, sw, tol)
+    negative_trace, mu, kappa = _side(omega, negative_basis, pair.w, sw, tol)
     # omega* solves the adjoint equation, that of the swapped pair, with the same residual.
     dual = EquationSolution(omega.x.conj().T, omega.residual)
-    positive_trace, nu, omegas = _side(dual, s, positive_basis, pair.v, sv, tol)
+    positive_trace, nu, omegas = _side(dual, positive_basis, pair.v, sv, tol)
     m = pair.output_dim
     p, q_count = len(kappa), len(omegas)
     if p + q_count > m:
@@ -394,12 +321,6 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         )
     zeros = m - p - q_count
     all_indices = sorted([-k for k in kappa] + [0] * zeros + list(omegas))
-    margins = {
-        # Distance of the eigenvalues of each contraction to the cut 1 - tol.
-        side: float(np.abs(trace.q_eigenvalues - (1.0 - tol)).min())
-        if trace.q_eigenvalues.size else None
-        for side, trace in (("negative", negative_trace), ("positive", positive_trace))
-    }
     return IndexProfile(
         negative=tuple(kappa),
         positive=tuple(omegas),
@@ -409,5 +330,5 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         all_indices=tuple(all_indices),
         negative_trace=negative_trace,
         positive_trace=positive_trace,
-        diagnostics={"cross_check_margins": margins},
+        singular_values=s,
     )

@@ -9,7 +9,7 @@ import pytest
 
 from whindex.cli import main
 from whindex.serialize import realization_from_json, realization_to_json
-from whindex import zeta_power_realization
+from whindex import SymbolPair, zeta_power_realization
 
 
 #: ``whindex example dss``'s report, exact on any BLAS: omega = 0, so the
@@ -20,8 +20,87 @@ DSS_REPORT = (
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
     '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.4.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":1}\n'
 )
+
+
+#: Reports of ``_nonzero_coupling_problems``, on the numpy, scipy and BLAS that CI pins.
+#: Their omega is not 0, so they pin the values 1 - s^2 of ``q_eigenvalues``, their
+#: padding with ones to n_w and n_v, and the margins of both sides.
+NONZERO_COUPLING_REPORTS = {
+    "scalar": (
+        '{"all_indices":[2],'
+        '"diagnostics":{"cross_check_margins":{"negative":0.98508521201527288,'
+        '"positive":9.9999999947364415e-08},'
+        '"q_eigenvalues":{"negative":[0.014914687984727171],"positive":[0.014914687984727171,'
+        '1.0,1.0]},"residuals":{"omega":8.3266726846886741e-17}},'
+        '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
+        '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
+        '"tool_version":"0.5.0","zeros":0}\n'
+    ),
+    "scalar-c2d": (
+        '{"all_indices":[2],'
+        '"diagnostics":{"cross_check_margins":{"negative":0.98508521201527288,'
+        '"positive":9.9999999947364415e-08},'
+        '"q_eigenvalues":{"negative":[0.014914687984727171],"positive":[0.014914687984727171,'
+        '1.0,1.0]},"residuals":{"omega":2.0595777971499126e-16}},'
+        '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
+        '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
+        '"tool_version":"0.5.0","zeros":0}\n'
+    ),
+    "twisted": (
+        '{"all_indices":[-1,1],'
+        '"diagnostics":{"cross_check_margins":{"negative":9.9999999947364415e-08,'
+        '"positive":9.9999999947364415e-08},'
+        '"q_eigenvalues":{"negative":[0.038196286472148566,0.042008196721311508,1.0],'
+        '"positive":[0.038196286472148566,0.042008196721311508,1.0]},'
+        '"residuals":{"omega":2.2204460492503131e-16}},"kernel_dims":{"negative":[1,0],'
+        '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":0}\n'
+    ),
+    "twisted-c2d": (
+        '{"all_indices":[-1,1],'
+        '"diagnostics":{"cross_check_margins":{"negative":9.9999999947364415e-08,'
+        '"positive":9.9999999947364415e-08},'
+        '"q_eigenvalues":{"negative":[0.038196286472147678,0.042008196721311175,1.0],'
+        '"positive":[0.038196286472147678,0.042008196721311175,1.0]},'
+        '"residuals":{"omega":3.5652682413747997e-16}},"kernel_dims":{"negative":[1,0],'
+        '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":0}\n'
+    ),
+}
+
+
+def _nonzero_coupling_problems():
+    """Problem payloads whose omega is not 0: a scalar Blaschke pair with the truth
+    (2,), and V = R diag(phi_1, phi_2) over W = diag(m_1, m_2) for a rotation R,
+    with the truth (-1, 1); each continuous and as its ``c2d`` image."""
+    from whindex import BlaschkeSpec, blaschke_realization, c2d, direct_sum, unitary_twist
+    from whindex.serialize import blaschke_spec_to_json
+
+    def blaschke(rho, *poles):
+        return BlaschkeSpec(rho, poles)
+
+    phi, m = blaschke(1.0, -1 + 2j, -0.5, -2 - 1j), blaschke(-1j, -1.5 + 0.5j)
+    scalar = SymbolPair(blaschke_realization(phi), blaschke_realization(m))
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    v = direct_sum(blaschke_realization(blaschke(1.0, -1 + 1j, -0.3)),
+                   blaschke_realization(blaschke(1j, -2.0)))
+    w = direct_sum(blaschke_realization(blaschke(1.0, -0.7 + 0.4j)),
+                   blaschke_realization(blaschke(1.0, -1.2, -0.4 - 2j)))
+    twisted = SymbolPair(unitary_twist(v, rotation, "left"), w)
+
+    def pair(p):
+        return {"kind": "realization_pair",
+                "v": realization_to_json(p.v), "w": realization_to_json(p.w)}
+
+    return {
+        "scalar": {"kind": "scalar_blaschke_pair",
+                   "phi": blaschke_spec_to_json(phi), "m": blaschke_spec_to_json(m)},
+        "scalar-c2d": pair(SymbolPair(c2d(scalar.v), c2d(scalar.w))),
+        "twisted": pair(twisted),
+        "twisted-c2d": pair(SymbolPair(c2d(twisted.v), c2d(twisted.w))),
+    }
 
 
 def run(capsys, *argv):
@@ -133,6 +212,14 @@ def test_indices_discrete_realization_pair(tmp_path, capsys):
     code, out, _ = run(capsys, "indices", write_problem(tmp_path, payload))
     assert code == 0
     assert json.loads(out)["all_indices"] == [-2, 1]
+
+
+@pytest.mark.parametrize("name", sorted(NONZERO_COUPLING_REPORTS))
+def test_indices_report_bytes_of_nonzero_couplings(tmp_path, capsys, name):
+    path = write_problem(tmp_path, _nonzero_coupling_problems()[name])
+    code, out, _ = run(capsys, "indices", path)
+    assert code == 0
+    assert out == NONZERO_COUPLING_REPORTS[name]
 
 
 def test_indices_pretty_mode(tmp_path, capsys):

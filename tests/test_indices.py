@@ -8,6 +8,7 @@ from whindex import (
     DISCRETE,
     BlaschkeSpec,
     InputValidationError,
+    PipelineError,
     Realization,
     StructureError,
     SymbolPair,
@@ -21,9 +22,12 @@ from whindex import (
     full_profile,
     negative_profile,
     unitary_twist,
+    validate_stable_dissipative,
 )
 from whindex import core, indices
+from whindex.cli import build_report
 from whindex.core import opnorm
+from whindex.equations import CLUSTER_TOL
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
 
@@ -48,7 +52,7 @@ def test_reference_diagonal_profile():
     assert profile.nu == (2, 2, 2, 1, 1)
     assert profile.positive_trace.kernel_dims == (8, 6, 4, 2, 1, 0)
     # Every eigenvalue of both contractions is 1, at distance tol from the cut.
-    margins = profile.diagnostics["cross_check_margins"]
+    margins = build_report(profile, CLUSTER_TOL)["diagnostics"]["cross_check_margins"]
     assert margins == {"negative": pytest.approx(1e-7), "positive": pytest.approx(1e-7)}
 
 
@@ -170,10 +174,12 @@ def test_q_eigenvalues_within_contraction_band():
     for _ in range(10):
         pair = random_symbol_pair(rng, max_m=2, max_block_degree=3)
         profile = full_profile(pair)
-        for trace in (profile.negative_trace, profile.positive_trace):
-            if trace.q_eigenvalues.size:
-                assert trace.q_eigenvalues.min() > -1e-7
-                assert trace.q_eigenvalues.max() < 1 + 1e-7
+        q = build_report(profile, CLUSTER_TOL)["diagnostics"]["q_eigenvalues"]
+        assert [len(q["negative"]), len(q["positive"])] == [pair.w.state_dim, pair.v.state_dim]
+        for values in q.values():
+            if values:
+                assert min(values) > -1e-7
+                assert max(values) < 1 + 1e-7
 
 
 def test_validation_gate_rejects_invalid_factor():
@@ -206,6 +212,38 @@ def test_discrete_gate_takes_stability_from_the_schur_diagonal():
     for v, w in ((marginal, good), (good, marginal)):
         with pytest.raises(InputValidationError, match="stable=False"):
             discrete_negative_profile(v, w)
+
+
+def _near_axis_factors(rng, count):
+    """Scalar Blaschke factors of degree 2-9 with a pole 1e-16 to 1e-12 from the
+    imaginary axis, behind a Haar unitary state similarity (u a u*, u b, c u*)."""
+    for _ in range(count):
+        degree = int(rng.integers(2, 10, endpoint=True))
+        poles = [-10 ** rng.uniform(-16, -12) + 1j * rng.uniform(-3, 3)]
+        for _ in range(degree - 1):
+            poles.append(-rng.uniform(0.1, 3) * 10 ** rng.uniform(-2, 2) + 1j * rng.uniform(-3, 3))
+        r = blaschke_realization(BlaschkeSpec(1.0, tuple(poles)))
+        u = random_unitary(rng, degree)
+        yield Realization(u @ r.a @ u.conj().T, u @ r.b, r.c @ u.conj().T, r.d)
+
+
+def test_public_validator_and_full_profile_agree_near_the_axis():
+    # Both read stability off one Schur form of a.  Eigenvalues of a general
+    # solver, which balances a first, put max Re lambda on the other side of 0
+    # for about one such factor in twenty.
+    w = blaschke_realization(BlaschkeSpec(1.0, (-1.0,)))
+    verdicts = set()
+    for v in _near_axis_factors(np.random.default_rng(7), 600):
+        public, accepted = validate_stable_dissipative(v).verdict, True
+        try:
+            full_profile(SymbolPair(v, w))
+        except InputValidationError:
+            accepted = False
+        except PipelineError:  # validated, then refused by the chain
+            pass
+        assert public == accepted
+        verdicts.add(public)
+    assert verdicts == {True, False}
 
 
 def test_a_tol_outside_the_unit_interval_is_refused_before_factorizing(monkeypatch):

@@ -162,12 +162,39 @@ def test_dropped_directions_stay_orthonormal_on_twisted_mimo_pairs(monkeypatch):
 
 def test_chain_step_refuses_a_stretching_map():
     # M = 1.5 I with c_d = 0: sigma^2([M; c_d]) = 2.25, 1.25 away from 1.  This w
-    # fails validation; a tol below 2 VALIDATION_TOL leaves the isometry check
-    # no certificate, so the check runs, as it does in production at that tol.
+    # fails validation, so only the chain's own isometry check can refuse it.
     w = Realization(1.5 * np.eye(3), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(1), DISCRETE)
     with pytest.raises(ContractionViolationError) as info:
         indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), 1e-9)
     assert abs(info.value.eigenvalue - 1.25) < 1e-12
+
+
+def test_every_chain_that_builds_its_map_runs_the_isometry_screen_once(monkeypatch):
+    # The Frobenius screen of K*K - I, K = [M; c_d], runs once in each chain
+    # with d_0 > 0 and in no other, on validated factors at the default tol too.
+    screens, chains = [], []
+    screen, chain = indices._screen, indices._kernel_dimension_chain
+
+    def counted_screen(*args):
+        screens.append(args)
+        return screen(*args)
+
+    def traced_chain(basis, *args):
+        before = len(screens)
+        dims = chain(basis, *args)
+        chains.append((dims[0], len(screens) - before))
+        return dims
+
+    monkeypatch.setattr(indices, "_screen", counted_screen)
+    monkeypatch.setattr(indices, "_kernel_dimension_chain", traced_chain)
+    rng = np.random.default_rng(3113)
+    pairs = [diagonal_symbol_factors(powers) for powers in ([-8, 8], [0], [3], [-3, 2, -1])]
+    pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
+    for pair in pairs:
+        for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
+            full_profile(flavored, CLUSTER_TOL)
+    assert len(chains) == 4 * len(pairs)
+    assert {(d0 > 0, count) for d0, count in chains} == {(True, 1), (False, 0)}
 
 
 def test_disk_map_defect_is_the_balance_defect_seen_through_the_resolvent():
@@ -197,19 +224,6 @@ def test_disk_map_defect_is_the_balance_defect_seen_through_the_resolvent():
         assert np.linalg.norm(expected, 2) <= 2 * size_e / (1 - size_e / 2) ** 2
 
 
-def test_isometry_certificate_needs_a_bound_small_factors_and_room_in_tol():
-    continuous = diagonal_symbol_factors([-8, 8]).w
-    discrete = c2d(continuous)
-    large = diagonal_symbol_factors([-128, 128]).w
-    for w in (continuous, discrete):
-        sw = schur_form(w.a)
-        assert indices._isometry_certified(w, sw, CLUSTER_TOL)
-        # No room for 2 delta (continuous) or delta (discrete) within tol/2.
-        assert not indices._isometry_certified(w, sw, 1e-9)
-    # The rounding bound grows with n, m and |t|_F: 128 states with |t|_F = 181 exceed it.
-    assert not indices._isometry_certified(large, schur_form(large.a), CLUSTER_TOL)
-
-
 def test_step_zero_refuses_a_coupling_that_stretches():
     # omega = 1.5 I makes Q = I - omega* omega = -1.25 I, not a positive contraction.
     with pytest.raises(ContractionViolationError) as info:
@@ -219,8 +233,10 @@ def test_step_zero_refuses_a_coupling_that_stretches():
 
 def test_chain_with_only_zero_rows_refuses_its_first_step():
     # c_d = 0 drops nothing: no row is left to step with, and step 0 is refused
-    # as the chain of all m zero rows refuses it.
-    w = Realization(0.5 * np.eye(3), np.zeros((3, 2)), np.zeros((2, 3)), np.eye(2), DISCRETE)
+    # as the chain of all m zero rows refuses it.  The permutation M keeps
+    # [M; c_d] an isometry, so the isometry check lets the chain step.
+    a = np.eye(3)[[1, 2, 0]]
+    w = Realization(a, np.zeros((3, 2)), np.zeros((2, 3)), np.eye(2), DISCRETE)
     with pytest.raises(PipelineError, match=r"not strictly decreasing: \[3, 3\]$"):
         indices._kernel_dimension_chain(np.eye(3), w, schur_form(w.a), 1e-7)
 
@@ -400,41 +416,7 @@ def _sweep_pairs(seed):
             yield random_blaschke_spec(rng, f), random_blaschke_spec(rng, g)
 
 
-def _gram_defect(w, sw):
-    """|M*M + c_d*c_d - I|_2 of the chain's computed [M; c_d], as its exact rule computes it."""
-    if w.flavor == DISCRETE:
-        m, rows = w.a, w.c
-    else:
-        m = _disk_map(sw)
-        rows = (w.c + w.c @ m) / np.sqrt(2.0)
-    gram = m.conj().T @ m + rows.conj().T @ rows
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1)))
-
-
-def _audit_certificate(monkeypatch):
-    """Where the chain's certificate skips the isometry check, compute the Gram
-    defect the check would have computed; returns the list of (defect, tol)."""
-    skipped = []
-    certified = indices._isometry_certified
-
-    def audited(w, sw, tol):
-        if not certified(w, sw, tol):
-            return False
-        skipped.append((_gram_defect(w, sw), tol))
-        return True
-
-    monkeypatch.setattr(indices, "_isometry_certified", audited)
-    return skipped
-
-
-def _assert_certificate_held(skipped):
-    # It skipped no check that the exact rule, which refuses above tol, would fail.
-    print(f"{len(skipped)} isometry checks skipped, largest defect {max(skipped)[0]:.1e}")
-    assert all(defect <= tol / 2 for defect, tol in skipped)
-
-
-def test_blaschke_sweep_degrees_8_to_20(monkeypatch):
-    skipped = _audit_certificate(monkeypatch)
+def test_blaschke_sweep_degrees_8_to_20():
     pairs = [spec for seed in SWEEP_SEEDS for spec in _sweep_pairs(seed)]
     failures = 0
     for phi, m in pairs:
@@ -450,7 +432,6 @@ def test_blaschke_sweep_degrees_8_to_20(monkeypatch):
         assert winding_number(phi, m) == phi.degree - m.degree
     print(f"{len(pairs)} Blaschke pairs of degree 8-20, {failures} PipelineError")
     assert failures <= SWEEP_MAX_FAILURES
-    _assert_certificate_held(skipped)
 
 
 def _near_axis_pair(eps):
@@ -486,8 +467,7 @@ def _scalar_pair(phi, m):
     return SymbolPair(blaschke_realization(phi), blaschke_realization(m))
 
 
-def test_blaschke_sweep_degrees_21_to_40(monkeypatch):
-    skipped = _audit_certificate(monkeypatch)
+def test_blaschke_sweep_degrees_21_to_40():
     pairs = list(_random_specs(3107, DEEP_PAIRS, DEEP_DEGREES))
     failures = 0
     for phi, m in pairs:
@@ -505,7 +485,6 @@ def test_blaschke_sweep_degrees_21_to_40(monkeypatch):
         assert winding_number(phi, m) == phi.degree - m.degree
     print(f"{2 * len(pairs)} Blaschke profiles of degree 21-40, {failures} PipelineError")
     assert failures <= DEEP_MAX_FAILURES
-    _assert_certificate_held(skipped)
 
 
 def _stepwise_chain(basis, w, sw, tol):
