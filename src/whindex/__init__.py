@@ -9,7 +9,7 @@ continuous/discrete realization dictionary, and independent oracles
 (winding numbers, root tests) for cross-validation.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .cayley import c2d, d2c
 from .core import (

@@ -31,10 +31,6 @@ DISCRETE = "discrete"
 #: Tolerance of every validation verdict, the pipeline's and the public validators'.
 VALIDATION_TOL = 1e-8
 
-#: Realizations whose rightmost eigenvalue is closer to the axis than this
-#: are flagged as near marginal (equation solving degrades there).
-NEAR_MARGINAL_GAP = 1e-10
-
 
 @functools.cache
 def _lapack():
@@ -239,32 +235,15 @@ def constant_realization(d, flavor: str = CONTINUOUS) -> Realization:
 class ValidationReport:
     """Outcome of a stability/energy-balance validation.
 
-    For continuous realizations the residuals are ``|a + a* + c*c|``,
-    ``|d*d - I|`` and ``|b + c*d|``.  For discrete realizations they are the
-    blocks of ``S*S - I`` for the stacked system matrix ``S = [[a, b], [c, d]]``
-    (state, feedthrough and coupling block respectively), and
-    ``system_unitarity_residual`` holds ``|S*S - I|`` itself.
+    ``residual`` is the largest 2-norm of the balance defects:
+    ``a + a* + c*c``, ``d*d - I`` and ``b + c*d`` for continuous realizations,
+    ``S*S - I`` for the stacked system matrix ``S = [[a, b], [c, d]]`` of
+    discrete ones.  It is NaN if any of these norms is.
     """
 
     stable: bool
-    dissipative_residual: float
-    feedthrough_unitarity_residual: float
-    coupling_residual: float
+    residual: float
     verdict: bool
-    near_marginal: bool = False
-    system_unitarity_residual: Optional[float] = None
-
-    @property
-    def max_residual(self) -> float:
-        """The largest residual, NaN if any residual is NaN."""
-        residuals = [
-            self.dissipative_residual,
-            self.feedthrough_unitarity_residual,
-            self.coupling_residual,
-        ]
-        if self.system_unitarity_residual is not None:
-            residuals.append(self.system_unitarity_residual)
-        return float(np.max(residuals))
 
 
 @dataclass(frozen=True)
@@ -295,14 +274,14 @@ class SymbolPair:
         return SymbolPair(self.w, self.v)
 
 
-def _stability(r: Realization, eigenvalues: np.ndarray) -> tuple[bool, bool]:
-    """(stable, near_marginal) of ``r`` given the eigenvalues of ``a``, which must lie in
-    the open left half plane if ``r`` is continuous and in the open unit disk if discrete."""
+def _stable(r: Realization, eigenvalues: np.ndarray) -> bool:
+    """Whether the eigenvalues of ``a`` lie in the open left half plane if ``r`` is
+    continuous, in the open unit disk if discrete."""
     if eigenvalues.size == 0:
-        return True, False
-    margins, limit = (np.abs(eigenvalues), 1.0) if r.flavor == DISCRETE else (eigenvalues.real, 0.0)
-    top = float(margins.max())
-    return top < limit, limit - NEAR_MARGINAL_GAP < top < limit
+        return True
+    if r.flavor == DISCRETE:
+        return float(np.abs(eigenvalues).max()) < 1.0
+    return float(eigenvalues.real.max()) < 0.0
 
 
 def _balance_defects(r: Realization) -> tuple[np.ndarray, ...]:
@@ -319,8 +298,8 @@ def validate_stable_dissipative(r: Realization) -> ValidationReport:
     """Check that a continuous realization is stable with the inner-function energy balance.
 
     Stability means every eigenvalue of ``a`` lies strictly in the open left
-    half plane.  The three residuals measure ``a + a* + c*c = 0``, unitarity
-    of ``d`` and the coupling ``b = -c*d``; the verdict holds them to
+    half plane.  The residual measures ``a + a* + c*c = 0``, unitarity of
+    ``d`` and the coupling ``b = -c*d``; the verdict holds it to
     ``VALIDATION_TOL``, as ``full_profile`` does, with the eigenvalues on the
     diagonal of the same Schur form (``_schur_factors``), so both give one verdict.
     """
@@ -333,9 +312,8 @@ def validate_stable_unitary(r: Realization) -> ValidationReport:
     """Check that a discrete realization is stable with a unitary system matrix.
 
     Stability means all eigenvalues of ``a`` lie strictly inside the unit
-    disk.  The governing residual is ``|S*S - I|`` for the stacked system
-    matrix ``S = [[a, b], [c, d]]``; its diagonal and off-diagonal blocks are
-    reported individually as well.  The verdict holds it to ``VALIDATION_TOL``,
+    disk.  The residual is ``|S*S - I|`` for the stacked system matrix
+    ``S = [[a, b], [c, d]]``.  The verdict holds it to ``VALIDATION_TOL``,
     as ``full_profile`` does, with the eigenvalues on the diagonal of the same
     Schur form (``_schur_factors``), so both give one verdict.
     """
@@ -351,21 +329,16 @@ def _validation_report(r: Realization, eigenvalues: np.ndarray) -> ValidationRep
     The eigenvalues may come from a factorization the caller needs anyway,
     such as the diagonal of a Schur form.
     """
-    stable, near_marginal = _stability(r, eigenvalues)
+    stable = _stable(r, eigenvalues)
     defects = _balance_defects(r)
     if r.flavor == DISCRETE:
-        (defect,), n = defects, r.state_dim
-        full = opnorm(defect)
-        # The state, feedthrough and coupling blocks of S*S - I, in the report's order.
-        blocks = (opnorm(defect[:n, :n]), opnorm(defect[n:, n:]), opnorm(defect[:n, n:]))
-        return ValidationReport(stable, *blocks, stable and full <= VALIDATION_TOL,
-                                near_marginal, system_unitarity_residual=full)
-    energy, feed, coup = defects
-    # a + a* + c*c is Hermitian, so its 2-norm is its largest eigenvalue magnitude.
-    diss = float(np.abs(np.linalg.eigvalsh(energy)).max()) if energy.size else 0.0
-    feed, coup = opnorm(feed), opnorm(coup)
-    verdict = stable and all(x <= VALIDATION_TOL for x in (diss, feed, coup))
-    return ValidationReport(stable, diss, feed, coup, verdict, near_marginal)
+        residual = opnorm(defects[0])
+    else:
+        energy, feed, coup = defects
+        # a + a* + c*c is Hermitian, so its 2-norm is its largest eigenvalue magnitude.
+        diss = float(np.abs(np.linalg.eigvalsh(energy)).max()) if energy.size else 0.0
+        residual = float(np.max([diss, opnorm(feed), opnorm(coup)]))  # NaN if any is
+    return ValidationReport(stable, residual, stable and residual <= VALIDATION_TOL)
 
 
 def _screened_report(r: Realization, eigenvalues: np.ndarray) -> Optional[ValidationReport]:
@@ -376,7 +349,7 @@ def _screened_report(r: Realization, eigenvalues: np.ndarray) -> Optional[Valida
     bounds each of them and is NaN or infinite if any entry is.
     """
     frobenius = math.sqrt(sum([np.vdot(x, x).real for x in _balance_defects(r)]))
-    if _stability(r, eigenvalues)[0] and _screen(frobenius, VALIDATION_TOL):
+    if _stable(r, eigenvalues) and _screen(frobenius, VALIDATION_TOL):
         return None
     return _validation_report(r, eigenvalues)
 

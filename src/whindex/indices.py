@@ -147,7 +147,7 @@ def _validated(pair: SymbolPair, tol: float) -> tuple[SchurForm, SchurForm]:
         if report is not None and not report.verdict:
             raise InputValidationError(
                 f"factor {name} is not {promise} "
-                f"(stable={report.stable}, max residual={report.max_residual:.3e})"
+                f"(stable={report.stable}, max residual={report.residual:.3e})"
             )
     return forms
 

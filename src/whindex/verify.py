@@ -91,13 +91,13 @@ def _builder_validity(rng, cases):
         spec = random_blaschke_spec(rng, int(rng.integers(1, 9)))
         report = validate_stable_dissipative(blaschke_realization(spec))
         if not report.verdict:
-            return {"case": k, "max_residual": report.max_residual,
+            return {"case": k, "max_residual": report.residual,
                     "spec": blaschke_spec_to_json(spec)}
         if k % 2:
             r = random_mimo_realization(rng, int(rng.integers(1, 4)))
             report = validate_stable_dissipative(r)
             if not report.verdict:
-                return {"case": k, "max_residual": report.max_residual,
+                return {"case": k, "max_residual": report.residual,
                         "realization": realization_to_json(r)}
     return None
 

@@ -100,7 +100,7 @@ def test_criterion_4_cayley_equivalence():
         vd, wd = c2d(pair.v), c2d(pair.w)
         for factor in (vd, wd):
             report = validate_stable_unitary(factor)
-            if not report.verdict or report.system_unitarity_residual >= 1e-8:
+            if not report.verdict or report.residual >= 1e-8:
                 failures += 1
         trace_c, _, kappa_c = negative_profile(pair)
         trace_d, _, kappa_d = discrete_negative_profile(vd, wd)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from whindex.cli import main
-from whindex.serialize import realization_from_json, realization_to_json
+from whindex.serialize import realization_to_json
 from whindex import SymbolPair, zeta_power_realization
 
 
@@ -20,7 +20,7 @@ DSS_REPORT = (
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
     '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":1}\n'
 )
 
 
@@ -36,7 +36,7 @@ NONZERO_COUPLING_REPORTS = {
         '1.0,1.0]},"residuals":{"omega":8.3266726846886741e-17}},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.5.0","zeros":0}\n'
+        '"tool_version":"0.6.0","zeros":0}\n'
     ),
     "scalar-c2d": (
         '{"all_indices":[2],'
@@ -46,7 +46,7 @@ NONZERO_COUPLING_REPORTS = {
         '1.0,1.0]},"residuals":{"omega":2.0595777971499126e-16}},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.5.0","zeros":0}\n'
+        '"tool_version":"0.6.0","zeros":0}\n'
     ),
     "twisted": (
         '{"all_indices":[-1,1],'
@@ -56,7 +56,7 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":[0.038196286472148566,0.042008196721311508,1.0]},'
         '"residuals":{"omega":2.2204460492503131e-16}},"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":0}\n'
     ),
     "twisted-c2d": (
         '{"all_indices":[-1,1],'
@@ -66,7 +66,7 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":[0.038196286472147678,0.042008196721311175,1.0]},'
         '"residuals":{"omega":3.5652682413747997e-16}},"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.5.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":0}\n'
     ),
 }
 
@@ -301,14 +301,12 @@ def test_indices_malformed_inputs(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    ["utf8-problem", "utf8-realization", "indices-output", "cayley-output", "example-output"],
+    ["utf8-problem", "indices-output", "example-output"],
 )
 def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"kind": "diagonal_powers", "powers": [1], "note": "\xe9"}')
     decode = "'utf-8' codec can't decode byte 0xe9 in position 52: invalid continuation byte"
-    realization = tmp_path / "zeta.json"
-    realization.write_text(json.dumps(realization_to_json(zeta_power_realization(1))))
     problem = write_problem(tmp_path, {"kind": "diagonal_powers", "powers": [1]})
     target = tmp_path / "missing" / "out.json"
     missing = f"cannot write {target}: [Errno 2] No such file or directory: '{target}'"
@@ -316,9 +314,7 @@ def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
     taken.write_text("")
     argv, message = {
         "utf8-problem": (["indices", str(not_utf8)], f"cannot read {not_utf8}: {decode}"),
-        "utf8-realization": (["cayley", str(not_utf8), "c2d"], f"cannot read {not_utf8}: {decode}"),
         "indices-output": (["indices", problem, "--output", str(target)], missing),
-        "cayley-output": (["cayley", str(realization), "c2d", "--output", str(target)], missing),
         "example-output": (
             ["example", "dss", "--output", str(taken)],
             f"cannot create directory {taken}: [Errno 17] File exists: '{taken}'",
@@ -411,37 +407,6 @@ def test_indices_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["all_indices"] == [2]
 
 
-def test_cayley_zeta_block(tmp_path, capsys):
-    path = tmp_path / "zeta.json"
-    path.write_text(json.dumps(realization_to_json(zeta_power_realization(1))))
-    code, out, _ = run(capsys, "cayley", str(path), "c2d")
-    assert code == 0
-    payload = json.loads(out)
-    r = realization_from_json(payload["realization"])
-    assert abs(r.a[0, 0]) < 1e-14
-    assert abs(r.b[0, 0] - 1.0) < 1e-13
-    assert payload["validation"]["verdict"] is True
-
-    code, _, err = run(capsys, "cayley", str(path), "d2c")
-    assert code == 2 and "continuous" in err
-
-
-def test_cayley_cli_round_trip(tmp_path, capsys):
-    original = zeta_power_realization(3)
-    first = tmp_path / "first.json"
-    first.write_text(json.dumps(realization_to_json(original)))
-    code, out, _ = run(capsys, "cayley", str(first), "c2d")
-    assert code == 0
-    second = tmp_path / "second.json"
-    second.write_text(json.dumps(json.loads(out)["realization"]))
-    code, out, _ = run(capsys, "cayley", str(second), "d2c")
-    assert code == 0
-    back = realization_from_json(json.loads(out)["realization"])
-    for name in "abcd":
-        diff = np.abs(getattr(back, name) - getattr(original, name))
-        assert float(diff.max()) < 1e-10
-
-
 def test_verify_small_run_is_deterministic(capsys):
     code, first, _ = run(capsys, "verify", "--seed", "42", "--cases", "3")
     assert code == 0
@@ -464,6 +429,28 @@ def test_verify_catches_corrupted_pipeline(capsys, monkeypatch):
     assert code == 5
     assert "FAIL  indices-scalar-q-formula" in out
     assert "first failing case for replay" in out
+
+
+def test_verify_replays_a_failing_case_with_a_non_finite_number(capsys, monkeypatch):
+    import whindex.verify as verify_module
+    from whindex import constant_realization
+
+    real_d2c = verify_module.d2c
+
+    def stateless(r):
+        # The round trip then differs in shape, which the family reads as diff = inf.
+        return constant_realization(real_d2c(r).d)
+
+    monkeypatch.setattr(verify_module, "d2c", stateless)
+    code, out, err = run(capsys, "verify", "--cases", "1")
+    assert (code, err) == (5, "")
+    assert "FAIL  cayley-round-trip" in out and "21/22 families passed" in out
+    header, replay = out.splitlines()[-2:]
+    assert header == "first failing case for replay:"
+    assert json.loads(replay) == {
+        "case": {"case": 0, "diff": float("inf"), "what": "continuous_start"},
+        "family": "cayley-round-trip",
+    }
 
 
 def test_example_command(tmp_path, capsys):
@@ -513,16 +500,18 @@ def test_a_problem_too_large_to_build_exits_3_with_one_line(tmp_path, capsys, po
     assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_the_commands_are_indices_cayley_verify_and_example(capsys):
+def test_the_commands_are_indices_verify_and_example(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
-    assert "{indices,cayley,verify,example}" in capsys.readouterr().out
-    # The retired polynomial stability command is an unknown choice, exit 2.
-    with pytest.raises(SystemExit) as info:
-        main(["stability", "1 1"])
-    assert info.value.code == 2
-    assert "invalid choice: 'stability'" in capsys.readouterr().err
+    assert "{indices,verify,example}" in capsys.readouterr().out
+    # The retired polynomial stability and realization conversion commands
+    # are unknown choices, exit 2.
+    for retired in (["stability", "1 1"], ["cayley", "zeta.json", "c2d"]):
+        with pytest.raises(SystemExit) as info:
+            main(retired)
+        assert info.value.code == 2
+        assert f"invalid choice: '{retired[0]}'" in capsys.readouterr().err
 
 
 def test_verify_defaults_to_the_battery_seed(capsys, monkeypatch):

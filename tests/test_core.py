@@ -7,14 +7,17 @@ from whindex import (
     BlaschkeSpec,
     CONTINUOUS,
     DISCRETE,
+    InputValidationError,
     Realization,
     StructureError,
+    SymbolPair,
     blaschke_realization,
     c2d,
     cascade,
     constant_realization,
     direct_sum,
     eval_transfer,
+    full_profile,
     unitary_twist,
     validate_stable_dissipative,
     validate_stable_unitary,
@@ -29,8 +32,7 @@ SQRT2 = math.sqrt(2.0)
 def test_validate_dissipative_zeta_block():
     report = validate_stable_dissipative(zeta_power_realization(3))
     assert report.verdict
-    assert report.max_residual < 1e-12
-    assert not report.near_marginal
+    assert report.residual < 1e-12
 
 
 def test_validate_dissipative_unstable_state():
@@ -43,21 +45,14 @@ def test_validate_dissipative_unstable_state():
 def test_validate_dissipative_feedthrough_residual():
     r = Realization([[-1.0]], [[-SQRT2]], [[SQRT2]], [[2.0]])
     report = validate_stable_dissipative(r)
-    assert abs(report.feedthrough_unitarity_residual - 3.0) < 1e-12
+    assert abs(report.residual - 3.0) < 1e-12
     assert not report.verdict
-
-
-def test_validate_dissipative_flags_near_marginal():
-    gain = math.sqrt(2 * 1e-11)
-    r = Realization([[-1e-11]], [[-gain]], [[gain]], [[1.0]])
-    report = validate_stable_dissipative(r)
-    assert report.stable and report.near_marginal
 
 
 def test_validate_unitary_cayley_of_zeta_block():
     report = validate_stable_unitary(c2d(zeta_power_realization(1)))
     assert report.verdict
-    assert report.system_unitarity_residual < 1e-12
+    assert report.residual < 1e-12
 
 
 def test_validate_unitary_shift_realization():
@@ -257,4 +252,48 @@ def test_dissipation_residual_is_the_spectral_norm_of_the_energy_defect():
     report = validate_stable_dissipative(Realization(a, r.b, r.c, r.d))
     defect = opnorm(a + a.conj().T + r.c.conj().T @ r.c)
     assert defect > 1e-4
-    assert report.dissipative_residual == pytest.approx(defect, rel=1e-12)
+    assert report.residual == pytest.approx(defect, rel=1e-12)
+
+
+def _residual_cases():
+    """(name, factor, dominating defect) with one balance defect well above the others:
+    a perturbed state map, d = 2 and a perturbed b of a continuous factor, and a
+    perturbed state map of a discrete one, whose one defect is S*S - I."""
+    rng = np.random.default_rng(6)
+    r = zeta_power_realization(3)
+    noise = 1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = r.a + noise
+    b = r.b + 1e-3 * np.array([[1.0], [-2.0], [0.5j]])
+    ch = r.c.conj().T
+    doubled = Realization([[-1.0]], [[-SQRT2]], [[SQRT2]], [[2.0]])
+    rd = c2d(r)
+    ad = rd.a + noise
+    s = np.block([[ad, rd.b], [rd.c, rd.d]])
+    return [
+        ("energy", Realization(a, r.b, r.c, r.d), a + a.conj().T + ch @ r.c),
+        ("feedthrough", doubled, np.array([[3.0]])),
+        ("coupling", Realization(r.a, b, r.c, r.d), b + ch @ r.d),
+        ("system", Realization(ad, rd.b, rd.c, rd.d, DISCRETE), s.conj().T @ s - np.eye(4)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["energy", "feedthrough", "coupling", "system"])
+def test_the_residual_is_the_2_norm_of_the_dominating_balance_defect(name):
+    _, r, defect = next(case for case in _residual_cases() if case[0] == name)
+    validate = validate_stable_unitary if r.flavor == DISCRETE else validate_stable_dissipative
+    report = validate(r)
+    assert report.stable and not report.verdict
+    assert report.residual > 1e-4
+    assert report.residual == pytest.approx(np.linalg.norm(defect, 2), rel=1e-12)
+
+
+def test_full_profile_prints_the_residual_of_a_refused_discrete_factor():
+    _, r, _ = _residual_cases()[3]
+    good = c2d(zeta_power_realization(1))
+    expected = (
+        f"factor w is not stable unitary "
+        f"(stable=True, max residual={validate_stable_unitary(r).residual:.3e})"
+    )
+    with pytest.raises(InputValidationError) as info:
+        full_profile(SymbolPair(good, r))
+    assert str(info.value) == expected

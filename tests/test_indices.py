@@ -332,3 +332,21 @@ def test_contraction_is_identity_minus_the_coupling_gram():
                     checked += 1
                     assert np.abs(_q(trace) - kron.contraction(v, w, discrete)).max() <= 1e-10
     assert checked >= 40
+
+
+@pytest.mark.parametrize("flavor", ["continuous", "discrete"])
+@pytest.mark.xfail(strict=True, raises=PipelineError, reason=(
+    "a wrong refusal: the smallest singular value of omega, 7.2e-5, fails s^2 > tol = 1e-7, "
+    "so the rank cut reads an inconsistent profile (ROADMAP item 2 decides it)"))
+def test_the_degree_5_over_degree_5_pair_of_verify_seed_20260868(flavor):
+    # The 37th draw of indices-scalar-ground-truth at `whindex verify --seed 20260868`.
+    from whindex.verify import _scalar_pair
+
+    rng = np.random.default_rng([20260868, 13])
+    for _ in range(37):
+        phi, m = _scalar_pair(rng)
+    assert (phi.degree, m.degree) == (5, 5)
+    pair = SymbolPair(blaschke_realization(phi), blaschke_realization(m))
+    if flavor == "discrete":
+        pair = SymbolPair(c2d(pair.v), c2d(pair.w))
+    assert full_profile(pair).all_indices == (0,)

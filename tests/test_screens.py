@@ -82,13 +82,13 @@ def test_a_residual_the_screen_cannot_accept_is_decided_by_the_exact_rule(monkey
     # |residual|_F = 1.6 tol is above tol/2, |residual|_2 = 0.8 tol is within tol.
     full_profile(SymbolPair(_with_energy_residual(0.8 * tol), good))
     assert len(reports) == 1 and reports[0].verdict
-    assert reports[0].dissipative_residual == pytest.approx(0.8 * tol, rel=1e-6)
+    assert reports[0].residual == pytest.approx(0.8 * tol, rel=1e-6)
 
     stretched = _with_energy_residual(1.5 * tol)
     report = validate_stable_dissipative(stretched)
     expected = (
         f"factor v is not stable dissipative "
-        f"(stable=True, max residual={report.max_residual:.3e})"
+        f"(stable=True, max residual={report.residual:.3e})"
     )
     with pytest.raises(InputValidationError) as info:
         full_profile(SymbolPair(stretched, good))
