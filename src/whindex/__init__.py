@@ -9,7 +9,7 @@ continuous/discrete realization dictionary, and independent oracles
 (winding numbers, root tests) for cross-validation.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .cayley import c2d, d2c
 from .core import (
@@ -48,7 +48,6 @@ from .errors import (
 )
 from .indices import (
     IndexProfile,
-    PipelineTrace,
     discrete_negative_profile,
     full_profile,
     negative_profile,
@@ -79,7 +78,6 @@ __all__ = [
     "IndexProfile",
     "InputValidationError",
     "PipelineError",
-    "PipelineTrace",
     "Polynomial",
     "PreconditionError",
     "Realization",

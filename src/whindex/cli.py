@@ -91,11 +91,11 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
     ``q_eigenvalues`` are the ascending eigenvalues 1 - s^2 of its contraction,
     s the singular values of omega, padded with ones to its state dimension,
     and its ``cross_check_margins`` entry is their distance to the cut 1 - tol."""
-    neg, pos = profile.negative_trace, profile.positive_trace
     s = profile.singular_values
+    n_v, n_w = profile.omega.shape
     q = {
-        side: np.concatenate([1.0 - s * s, [1.0] * (trace.omega.shape[1] - len(s))])
-        for side, trace in (("negative", neg), ("positive", pos))
+        side: np.concatenate([1.0 - s * s, [1.0] * (n - len(s))])
+        for side, n in (("negative", n_w), ("positive", n_v))
     }
     return {
         "all_indices": list(profile.all_indices),
@@ -105,11 +105,11 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
         "mu": list(profile.mu),
         "nu": list(profile.nu),
         "kernel_dims": {
-            "negative": list(neg.kernel_dims),
-            "positive": list(pos.kernel_dims),
+            "negative": list(profile.negative_kernel_dims),
+            "positive": list(profile.positive_kernel_dims),
         },
         "diagnostics": {
-            "residuals": {"omega": neg.residuals["omega"]},
+            "residuals": {"omega": profile.residual},
             "q_eigenvalues": {side: [float(x) for x in values] for side, values in q.items()},
             "cross_check_margins": {
                 side: float(np.abs(values - (1.0 - tol)).min()) if values.size else None

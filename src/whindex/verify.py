@@ -34,7 +34,7 @@ from .equations import (
     zeta_of_minus,
 )
 from .errors import EvaluationError
-from .indices import discrete_negative_profile, full_profile, negative_profile
+from .indices import full_profile
 from .oracle import roots_stable, schur_cohen_stable, winding_number
 from .realizations import (
     Polynomial,
@@ -364,10 +364,10 @@ def _scalar_q_formula(rng, cases):
         phi, m = _scalar_pair(rng, max_degree=4)
         w = blaschke_realization(m)
         pair = SymbolPair(blaschke_realization(phi), w)
-        trace, _, _ = negative_profile(pair)
+        omega = full_profile(pair).omega
         evaluated = blaschke_eval_at_minus(phi, w.a.conj().T)
         expected = evaluated.conj().T @ evaluated
-        q = np.eye(w.state_dim) - trace.omega.conj().T @ trace.omega
+        q = np.eye(w.state_dim) - omega.conj().T @ omega
         diff = opnorm(q - expected)
         if diff > 1e-8:
             return {
@@ -421,35 +421,32 @@ def _twist_invariance(rng, cases):
 def _dual_consistency(rng, cases):
     for k in range(cases):
         pair = random_symbol_pair(rng, max_m=3, max_block_degree=2)
-        negative, _, _ = negative_profile(pair)
-        # The swapped pair solves the adjoint equation on its own.
-        positive, _, _ = negative_profile(pair.swapped())
-        mismatch = opnorm(positive.omega - negative.omega.conj().T)
-        if mismatch > 1e-10 * (1.0 + opnorm(negative.omega)):
-            return {"case": k, "what": "omega_duality", "mismatch": mismatch}
         profile = full_profile(pair)
-        for side, trace in (("negative", negative), ("positive", positive)):
-            dims = getattr(profile, f"{side}_trace").kernel_dims
-            if dims != trace.kernel_dims:
-                return {"case": k, "what": f"{side}_chain", "got": list(dims),
-                        "expected": list(trace.kernel_dims)}
+        # The swapped pair solves the adjoint equation on its own.
+        dual = full_profile(pair.swapped())
+        mismatch = opnorm(dual.omega - profile.omega.conj().T)
+        if mismatch > 1e-10 * (1.0 + opnorm(profile.omega)):
+            return {"case": k, "what": "omega_duality", "mismatch": mismatch}
+        if profile.positive_kernel_dims != dual.negative_kernel_dims:
+            return {"case": k, "what": "positive_chain", "got": list(profile.positive_kernel_dims),
+                    "expected": list(dual.negative_kernel_dims)}
     return None
 
 
 def _discrete_equivalence(rng, cases):
     for k in range(cases):
         pair = random_symbol_pair(rng, max_m=2, max_block_degree=2)
-        trace_c, mu_c, kappa_c = negative_profile(pair)
-        trace_d, mu_d, kappa_d = discrete_negative_profile(c2d(pair.v), c2d(pair.w))
-        diff = opnorm(trace_d.omega - trace_c.omega)
+        continuous = full_profile(pair)
+        discrete = full_profile(SymbolPair(c2d(pair.v), c2d(pair.w)))
+        diff = opnorm(discrete.omega - continuous.omega)
         if diff > 1e-8:
             return {"case": k, "what": "omega_mismatch", "diff": diff}
-        if kappa_d != kappa_c or mu_d != mu_c:
+        if discrete.negative != continuous.negative or discrete.mu != continuous.mu:
             return {
                 "case": k,
                 "what": "index_mismatch",
-                "continuous": kappa_c,
-                "discrete": kappa_d,
+                "continuous": list(continuous.negative),
+                "discrete": list(discrete.negative),
             }
     return None
 
@@ -511,10 +508,9 @@ def _golden_example(rng, cases):
     del rng, cases
     pair = diagonal_symbol_factors(GOLDEN_POWERS)
     profile = full_profile(pair)
-    trace = profile.negative_trace
     checks = {
-        "omega_norm": opnorm(trace.omega) < 1e-10,
-        "kernel_dims": trace.kernel_dims == GOLDEN_EXPECTED["kernel_dims"],
+        "omega_norm": opnorm(profile.omega) < 1e-10,
+        "kernel_dims": profile.negative_kernel_dims == GOLDEN_EXPECTED["kernel_dims"],
         "mu": profile.mu == GOLDEN_EXPECTED["mu"],
         "negative": profile.negative == GOLDEN_EXPECTED["negative"],
         "positive": profile.positive == GOLDEN_EXPECTED["positive"],
@@ -526,12 +522,12 @@ def _golden_example(rng, cases):
             "powers": list(GOLDEN_POWERS),
             "failed_checks": failed,
             "got": {
-                "kernel_dims": list(trace.kernel_dims),
+                "kernel_dims": list(profile.negative_kernel_dims),
                 "mu": list(profile.mu),
                 "negative": list(profile.negative),
                 "positive": list(profile.positive),
                 "all_indices": list(profile.all_indices),
-                "omega": matrix_to_json(trace.omega),
+                "omega": matrix_to_json(profile.omega),
             },
         }
     return None

@@ -19,9 +19,7 @@ from whindex import (
     defect_rank,
     diagonal_symbol_factors,
     direct_sum,
-    discrete_negative_profile,
     full_profile,
-    negative_profile,
     recover_blaschke_pointwise,
     roots_stable,
     schur_cohen_stable,
@@ -50,12 +48,11 @@ def test_criterion_1_reference_diagonal_reproduction():
     start = time.perf_counter()
     profile = full_profile(diagonal_symbol_factors([-4, -2, 0, 3, 5]))
     elapsed = time.perf_counter() - start
-    trace = profile.negative_trace
-    q = np.eye(6) - trace.omega.conj().T @ trace.omega
+    q = np.eye(6) - profile.omega.conj().T @ profile.omega
     ok = (
-        opnorm(trace.omega) < 1e-10
+        opnorm(profile.omega) < 1e-10
         and opnorm(q - np.eye(6)) < 1e-8
-        and trace.kernel_dims == (6, 4, 2, 1, 0)
+        and profile.negative_kernel_dims == (6, 4, 2, 1, 0)
         and profile.mu == (2, 2, 1, 1)
         and profile.negative == (4, 2)
         and profile.positive == (5, 3)
@@ -102,10 +99,9 @@ def test_criterion_4_cayley_equivalence():
             report = validate_stable_unitary(factor)
             if not report.verdict or report.residual >= 1e-8:
                 failures += 1
-        trace_c, _, kappa_c = negative_profile(pair)
-        trace_d, _, kappa_d = discrete_negative_profile(vd, wd)
-        q_c, q_d = (np.eye(len(wd.a)) - t.omega.conj().T @ t.omega for t in (trace_c, trace_d))
-        if opnorm(q_d - q_c) >= 1e-8 or kappa_d != kappa_c:
+        continuous, discrete = full_profile(pair), full_profile(SymbolPair(vd, wd))
+        q_c, q_d = (np.eye(len(wd.a)) - p.omega.conj().T @ p.omega for p in (continuous, discrete))
+        if opnorm(q_d - q_c) >= 1e-8 or discrete.negative != continuous.negative:
             failures += 1
     _report(4, f"50 transformed pairs validate and agree, {failures} failures",
             failures == 0)
@@ -170,15 +166,15 @@ def test_criterion_8_dual_consistency():
     pairs = [diagonal_symbol_factors([-4, -2, 0, 3, 5])]
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=2) for _ in range(50)]
     for pair in pairs:
-        trace_neg, _, _ = negative_profile(pair)
-        trace_pos, _, _ = negative_profile(pair.swapped())
-        if trace_neg.omega.size:
-            gap = float(np.max(np.abs(trace_pos.omega - trace_neg.omega.conj().T)))
+        # The swapped pair solves the adjoint equation on its own.
+        primal, dual = full_profile(pair), full_profile(pair.swapped())
+        if primal.omega.size:
+            gap = float(np.max(np.abs(dual.omega - primal.omega.conj().T)))
             if gap > 1e-10:
                 failures += 1
         # Unit multiplicity of the dual contraction balances the primal corank.
-        rank_primal = pair.w.state_dim - trace_neg.kernel_dims[0]
-        if trace_pos.kernel_dims[0] != pair.v.state_dim - rank_primal:
+        rank_primal = pair.w.state_dim - primal.negative_kernel_dims[0]
+        if dual.negative_kernel_dims[0] != pair.v.state_dim - rank_primal:
             failures += 1
     _report(8, f"dual coupling adjointness and corank balance on {len(pairs)} runs, "
                f"{failures} failures", failures == 0)

@@ -20,7 +20,7 @@ DSS_REPORT = (
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
     '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":1}\n'
 )
 
 
@@ -36,7 +36,7 @@ NONZERO_COUPLING_REPORTS = {
         '1.0,1.0]},"residuals":{"omega":8.3266726846886741e-17}},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.6.0","zeros":0}\n'
+        '"tool_version":"0.7.0","zeros":0}\n'
     ),
     "scalar-c2d": (
         '{"all_indices":[2],'
@@ -46,7 +46,7 @@ NONZERO_COUPLING_REPORTS = {
         '1.0,1.0]},"residuals":{"omega":2.0595777971499126e-16}},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.6.0","zeros":0}\n'
+        '"tool_version":"0.7.0","zeros":0}\n'
     ),
     "twisted": (
         '{"all_indices":[-1,1],'
@@ -56,7 +56,7 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":[0.038196286472148566,0.042008196721311508,1.0]},'
         '"residuals":{"omega":2.2204460492503131e-16}},"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":0}\n'
     ),
     "twisted-c2d": (
         '{"all_indices":[-1,1],'
@@ -66,7 +66,7 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":[0.038196286472147678,0.042008196721311175,1.0]},'
         '"residuals":{"omega":3.5652682413747997e-16}},"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.6.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":0}\n'
     ),
 }
 

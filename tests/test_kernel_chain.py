@@ -18,9 +18,7 @@ from whindex import (
     constant_realization,
     diagonal_symbol_factors,
     direct_sum,
-    discrete_negative_profile,
     full_profile,
-    negative_profile,
     unitary_twist,
     validate_stable_dissipative,
     winding_number,
@@ -68,40 +66,42 @@ def _continuous_cases(rng):
         yield f"mimo{i}", random_symbol_pair(rng, max_m=3, max_block_degree=3)
 
 
-def _assert_matches_oracle(label, trace, v, w, m, discrete=False):
-    """The chain of ``trace`` against matrix powers of the Q that the dense
-    oracle solves from the paper's equations for the pair (v, w)."""
+def _assert_matches_oracle(label, dims, v, w, m, discrete=False):
+    """The chain ``dims`` of the negative side of (v, w), the positive side of
+    (w, v), against matrix powers of the Q that the dense oracle solves from
+    the paper's equations."""
     assert len(m) <= 12
-    q = kron.contraction(v, w, discrete) if trace.omega.size else np.eye(len(m))
+    q = kron.contraction(v, w, discrete) if v.state_dim and w.state_dim else np.eye(len(m))
     expected = chain_oracle.kernel_dimension_chain(q, m, CLUSTER_TOL, cap=len(m) + 1)
-    assert list(trace.kernel_dims) == expected, label
+    assert list(dims) == expected, label
 
 
 def test_chain_matches_power_oracle_continuous():
     rng = np.random.default_rng(3101)
     for label, pair in _continuous_cases(rng):
         v, w = pair.v, pair.w
-        trace, _, _ = negative_profile(pair)
-        _assert_matches_oracle(label + "-negative", trace, v, w, zeta_of_minus(w.a))
-        trace, _, _ = negative_profile(pair.swapped())
-        _assert_matches_oracle(label + "-positive", trace, w, v, zeta_of_minus(v.a))
+        profile = full_profile(pair)
+        _assert_matches_oracle(label + "-negative", profile.negative_kernel_dims, v, w,
+                               zeta_of_minus(w.a))
+        _assert_matches_oracle(label + "-positive", profile.positive_kernel_dims, w, v,
+                               zeta_of_minus(v.a))
 
 
 def test_chain_matches_power_oracle_discrete():
     rng = np.random.default_rng(3102)
     for label, pair in _continuous_cases(rng):
         v, w = c2d(pair.v), c2d(pair.w)
-        trace, _, _ = discrete_negative_profile(v, w)
-        _assert_matches_oracle(label + "-discrete", trace, v, w, w.a, True)
-        trace, _, _ = discrete_negative_profile(w, v)
-        _assert_matches_oracle(label + "-discrete-swapped", trace, w, v, v.a, True)
+        profile = full_profile(SymbolPair(v, w))
+        _assert_matches_oracle(label + "-discrete", profile.negative_kernel_dims, v, w, w.a, True)
+        _assert_matches_oracle(label + "-discrete-swapped", profile.positive_kernel_dims, w, v,
+                               v.a, True)
 
 
 def _dropped_bases(pair, monkeypatch):
     """Chain of the negative side and the Gram defect of its final basis Y of
     dropped directions.  Each earlier Y is a leading column block of the final
     one, so its Gram defect is a principal submatrix of the final defect."""
-    trace, _, _ = negative_profile(pair)
+    profile = full_profile(pair)
     buffers = []
     empty = np.empty
 
@@ -109,14 +109,13 @@ def _dropped_bases(pair, monkeypatch):
         buffers.append(empty(shape, *args, **kwargs))
         return buffers[-1]
 
-    basis = indices._step_zero(trace.omega, CLUSTER_TOL)[2]
+    basis = indices._step_zero(profile.omega, CLUSTER_TOL)[2]
     monkeypatch.setattr(np, "empty", record)
     dims = indices._kernel_dimension_chain(basis, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
     monkeypatch.undo()
-    assert tuple(dims) == trace.kernel_dims and dims[-1] == 0
-    yh, yt = [b for b in buffers if b.shape == (dims[0], dims[0])]
-    assert np.array_equal(yt, yh.conj())
-    return dims, np.linalg.norm(yh @ yt.T - np.eye(dims[0]), 2)
+    assert tuple(dims) == profile.negative_kernel_dims and dims[-1] == 0
+    [yh] = [b for b in buffers if b.shape == (dims[0], dims[0])]
+    return dims, np.linalg.norm(yh @ yh.conj().T - np.eye(dims[0]), 2)
 
 
 def _twisted_pair(rng, specs_v, specs_w):
@@ -404,8 +403,8 @@ def test_a_zero_state_factor_passes_no_empty_matrix_to_lapack(capfd, powers, exp
 
 
 def test_negative_chain_at_k256():
-    trace, _, _ = negative_profile(diagonal_symbol_factors([-256, 256]))
-    assert trace.kernel_dims == tuple(range(256, -1, -1))
+    profile = full_profile(diagonal_symbol_factors([-256, 256]))
+    assert profile.negative_kernel_dims == tuple(range(256, -1, -1))
 
 
 def _sweep_pairs(seed):
@@ -501,7 +500,6 @@ def _stepwise_chain(basis, w, sw, tol):
         m = _disk_map(sw)
         rows = (w.c + w.c @ m) / np.sqrt(2.0)
     yh = np.empty((dims[0], dims[0]), dtype=complex)
-    yt = np.empty(yh.shape, dtype=complex)
     block, size = [rows], len(rows)
     while True:
         for _ in range(-(-dims[-1] // size) - 1):
@@ -510,11 +508,10 @@ def _stepwise_chain(basis, w, sw, tol):
         for step in range(len(block)):
             x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
             for _ in range(2 if r else 0):
-                x -= (x @ yt[:r].T) @ yh[:r]
+                x -= (x @ yh[:r].conj().T) @ yh[:r]
             _, s, vh = core._svd(x, full_matrices=False)
             drop = int(np.count_nonzero(s * s > tol))
             yh[r:r + drop] = vh[:drop]
-            np.conjugate(vh[:drop], out=yt[r:r + drop])
             dims.append(dims[-1] - drop)
             if dims[-1] >= dims[-2]:
                 raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
@@ -603,7 +600,7 @@ def test_dropping_zero_rows_never_changes_a_decision():
                 fewer_rows[discrete] += dims[0] > 0 and (
                     chain_oracle.step_rows(w.c, dims[0]) < w.output_dim)
             twisted = full_profile(_left_twisted(flavored, rng))
-            got = twisted.negative_trace.kernel_dims, twisted.positive_trace.kernel_dims
+            got = twisted.negative_kernel_dims, twisted.positive_kernel_dims
             assert got == tuple(map(tuple, expected)), label
     # The chains that step with fewer rows than m: 23 in each flavor.
     assert fewer_rows[False] == fewer_rows[True] >= 20, fewer_rows

@@ -418,9 +418,9 @@ def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
             flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
             counter.calls.clear()
             profile = full_profile(flavored)
-            chains = [(trace.kernel_dims, chain_oracle.step_rows(factor.c, trace.kernel_dims[0]))
-                      for trace, factor in ((profile.negative_trace, flavored.w),
-                                            (profile.positive_trace, flavored.v))]
+            chains = [(dims, chain_oracle.step_rows(factor.c, dims[0]))
+                      for dims, factor in ((profile.negative_kernel_dims, flavored.w),
+                                           (profile.positive_kernel_dims, flavored.v))]
             running = sum(dims[0] > 0 for dims, _ in chains)
             qrs = sum(dims[0] > 0 and rows == 1 for dims, rows in chains)
             steps = sum(len(dims) - 1 for dims, rows in chains if rows > 1)
