@@ -90,7 +90,7 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
     """Flatten an index profile into the serializable report shape.  A side's
     ``q_eigenvalues`` are the ascending eigenvalues 1 - s^2 of its contraction,
     s the singular values of omega, padded with ones to its state dimension,
-    and its ``cross_check_margins`` entry is their distance to the cut 1 - tol."""
+    and its ``cross_check_margins`` entry is their distance to the chains' cut 1 - tol."""
     s = profile.singular_values
     n_v, n_w = profile.omega.shape
     q = {
@@ -110,6 +110,7 @@ def build_report(profile: IndexProfile, tol: float) -> dict:
         },
         "diagnostics": {
             "residuals": {"omega": profile.residual},
+            "step_zero_cut": profile.step_zero_cut,
             "q_eigenvalues": {side: [float(x) for x in values] for side, values in q.items()},
             "cross_check_margins": {
                 side: float(np.abs(values - (1.0 - tol)).min()) if values.size else None
@@ -231,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_idx = sub.add_parser("indices", help="compute the index profile of a problem file")
     p_idx.add_argument("problem", help="path to a JSON problem file")
     p_idx.add_argument("--tol", type=float, default=CLUSTER_TOL,
-                       help=f"eigenvalue clustering tolerance, 0 < tol < 1 (default {CLUSTER_TOL:g})")
+                       help=f"kernel-chain clustering tolerance, 0 < tol < 1 (default {CLUSTER_TOL:g})")
     p_idx.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
     p_idx.add_argument("--output", default=None, help="write to this path instead of stdout")
     p_idx.set_defaults(handler=cmd_indices)

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite, _lapack, _schur_factors, _screen, _svd, hermitize, opnorm
+from .core import _finite, _frobenius, _lapack, _schur_factors, _screen, _svd, hermitize, opnorm
 from .errors import ContractionViolationError, EvaluationError, StructureError, UnsolvableEquationError
 
 #: Relative residual the solvers are expected to reach.
@@ -160,10 +160,13 @@ def _factored(m: np.ndarray | SchurForm) -> SchurForm:
 
 @dataclass(frozen=True)
 class EquationSolution:
-    """Solution matrix together with the operator norm of the defining residual."""
+    """Solution x, the 2-norm of its computed residual R, and ``error``, the gate's bound
+    on |L^{-1}|_2 times |R|_F plus R's rounding (Higham 3.5, real gamma_{2n+2}): it bounds
+    |x - x_exact|_2 for the computed Schur factors and c as given, not their own errors."""
 
     x: np.ndarray
     residual: float
+    error: float
 
 
 def _equation_inputs(a, b, c) -> tuple:
@@ -296,7 +299,7 @@ def _solve(a, b, c, stein: bool) -> EquationSolution:
     its inverse is at most ``CONDITION_LIMIT``."""
     a, b, c = _equation_inputs(a, b, c)
     if c.size == 0:
-        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0)
+        return EquationSolution(np.zeros(c.shape, dtype=complex), 0.0, 0.0)
     fa, fb = _factored(a), _factored(b)
     norm, solve, inverse_norm = _operator(fa, fb, stein)
     # A zero operator has norm 0 and an infinite bound, whose NaN product is refused too.
@@ -309,7 +312,11 @@ def _solve(a, b, c, stein: bool) -> EquationSolution:
         )
     x = fa.u @ solve(fa.u.conj().T @ (c if stein else -c) @ fb.u) @ fb.u.conj().T
     a, b = fa.matrix, fb.matrix
-    return EquationSolution(x, opnorm(x - a @ x @ b - c if stein else a @ x + x @ b + c))
+    r = x - a @ x @ b - c if stein else a @ x + x @ b + c
+    # |fl(R) - R| <= gamma_{2n+2} |terms of R| entrywise, and | |a| |_2 <= |a|_F = |t_a|_F.
+    keps, fro = (2 * max(len(fa), len(fb)) + 2) * np.finfo(float).eps, [_frobenius(f.t) for f in (fa, fb)]
+    terms = (1.0 + fro[0] * fro[1] if stein else fro[0] + fro[1]) * _frobenius(x) + _frobenius(c)
+    return EquationSolution(x, opnorm(r), inverse_norm * (_frobenius(r) + keps / (1.0 - keps) * terms))
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> EquationSolution:

@@ -9,11 +9,13 @@ The balance identities of both factors make Q = I - omega* omega the
 positive contraction whose Lyapunov equation in a_w defines it in the paper,
 and I - omega omega* the one of the adjoint symbol W V*, whose coupling is
 omega*.  So one SVD of omega gives step 0 of both sides: the eigenvalues are
-1 - s^2, padded with ones, and the cut 1 - s^2 >= 1 - tol is s^2 <= tol,
-without the cancellation against 1.  With r singular values s^2 > tol, N_0
-is spanned by the last n_w - r right singular vectors on the negative side
-and by the last n_v - r left ones on the positive side.  Q >= 0 means s <= 1,
-so s^2 > 1 + tol is refused.
+1 - s^2, padded with ones.  Step 0 keeps the r singular values s > delta_0 =
+e + 8 n eps max(1, s_0), e the error bound of omega (``EquationSolution.error``),
+n = max(n_v, n_w) and the last term the SVD's rounding, so by Weyl's
+inequality each kept s is a nonzero one of the omega that the computed Schur
+factors and the computed b_v b_w* define.  N_0 is spanned by the last n_w - r
+right singular vectors on the negative side and by the last n_v - r left ones
+on the positive side.  Q >= 0 means s <= 1, so s^2 > 1 + tol is refused.
 
 The k-th kernel dimension d_k is the unit-eigenvalue multiplicity of
 M^k Q M*^k with M the disk map of -a_w.  Its drops mu_k = d_{k-1} - d_k
@@ -50,25 +52,23 @@ zero in c_d and in every c_d M^j, so it drops nothing, and the chain steps
 with the p nonzero rows alone.  A step drops at most p directions, so with
 d_k left at least ceil(d_k / p) steps remain; the chain builds the p x n
 rows c_d M^j of those steps and forms all their images c_d M^j B_0 with one
-product.  It looks for zero rows only where 1 < m < d_0: a single row or a
-first batch of one step costs the same with all m rows.  One isometry check
-of K = [M; c_d], with all m rows, to within tol replaces the per-step refusal
-of sigma^2 > 1 + tol and covers it, because |K y| >= |M y|.  It forms
-K*K - I with one product and, like the validation of the factors, decides
-with its Frobenius norm first; where that screen does not accept, the
-eigenvalues of K*K - I decide, without the cancellation of eigvalsh(K*K) - 1.
+product.  One isometry check of K = [M; c_d], with all m rows, to within tol
+replaces the per-step refusal of sigma^2 > 1 + tol and covers it, because
+|K y| >= |M y|.  It forms K*K - I with one product and, like the validation
+of the factors, decides with its Frobenius norm first; where that screen
+does not accept, the eigenvalues of K*K - I decide, without the cancellation
+of eigvalsh(K*K) - 1.
 
-A chain with one row (p = 1: a scalar symbol, or a factor with one output
-that carries state, as both of ``diagonal_symbol_factors([-k, k])``) drops
-one direction per step or is refused, so Y spans the earlier images and the
-s of step k is the distance of image k from them: |r_kk| of the QR of the
-d_0 images as columns (Golub & Van Loan, 4th ed., 5.2).  One zgeqrf decides
-every step as an SVD per step would, except where s^2 is within roundoff of
-tol.  Chains with p > 1 keep that SVD: one of their steps may keep
-directions of its block that a QR would project off.  A factor whose
-outputs are mixed by a unitary U keeps all m rows of U c_w, though they
-have the rank of c_w: cutting them to that rank would be a numerical rank
-decision of its own.
+A side whose factor has one nonzero row of c (p = 1: a scalar symbol, or
+both factors of ``diagonal_symbol_factors([-k, k])``) drops one direction per
+step until its chain ends, so the chain is d_0, d_0 - 1, ..., 0.  It is
+answered so, without M, where both d_0 are certain: one N_0 is trivial, as
+step 0 then kept every s, or omega is exact (error 0, as the zero omega of
+diagonal pairs).  Elsewhere a dropped s may be a genuine one under delta_0,
+adding one dimension to each N_0, and the side runs its chain, whose
+refusals catch that.  A factor whose outputs are mixed by a unitary U keeps
+all m rows of U c_w, though they have the rank of c_w: cutting them to that
+rank would be a numerical rank decision of its own.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from .core import (
     Realization,
     SymbolPair,
     _frobenius,
-    _lapack,
     _minus_identity,
     _screen,
     _screened_report,
@@ -97,9 +96,7 @@ from .equations import (
     solve_stein,
     solve_sylvester,
 )
-from .errors import (
-    ContractionViolationError, EvaluationError, InputValidationError, PipelineError, StructureError,
-)
+from .errors import ContractionViolationError, InputValidationError, PipelineError, StructureError
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,8 @@ class IndexProfile:
     multiset in ascending order, negative entries reported as -kappa_j.
     ``mu`` and ``nu`` are the drops of the two chains of kernel dimensions.
     ``omega`` is the n_v x n_w coupling, ``residual`` its residual 2-norm, and
-    ``omega.conj().T`` the positive side's coupling.  ``singular_values`` are
-    those of omega, descending, from which step 0 of both sides cut N_0.
+    ``omega.conj().T`` the positive side's coupling.  ``singular_values`` are those
+    of omega, descending; step 0 cut N_0 at ``step_zero_cut``, delta_0.
     """
 
     negative: tuple[int, ...]
@@ -126,6 +123,7 @@ class IndexProfile:
     omega: np.ndarray
     residual: float
     singular_values: np.ndarray
+    step_zero_cut: float
 
 
 def _validated(pair: SymbolPair, tol: float) -> tuple[SchurForm, SchurForm]:
@@ -154,23 +152,20 @@ def _coupling(pair: SymbolPair, sv: SchurForm, sw: SchurForm) -> EquationSolutio
     return solve(sv, sw.H, pair.v.b @ pair.w.b.conj().T)
 
 
-def _step_zero(omega: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values s of omega and orthonormal bases of N_0 of both sides.
-
-    Returns (s, positive basis, negative basis): the left and right singular
-    vectors past the r values with s^2 > tol, the unit eigenspaces of
-    I - omega omega* and I - omega* omega.  A singular value with
-    s^2 > 1 + tol makes an eigenvalue 1 - s^2 < -tol, so the contraction
-    was not positive, and raises ``ContractionViolationError``.
-    """
-    u, s, vh = _svd(omega)
+def _step_zero(omega: EquationSolution, tol: float) -> tuple:
+    """(delta_0, s, positive basis, negative basis): the cut, the singular values s of
+    omega and the singular vectors past the r values kept, left and right, the unit
+    eigenspaces of I - omega omega* and I - omega* omega (module docstring).  s^2 > 1 + tol
+    makes an eigenvalue 1 - s^2 < -tol of Q, and raises ``ContractionViolationError``."""
+    u, s, vh = _svd(omega.x)
     if s.size and s[0] * s[0] > 1.0 + tol:
         lowest = float(1.0 - s[0] * s[0])
         raise ContractionViolationError(
             f"Q has a negative eigenvalue {lowest!r} beyond tolerance", eigenvalue=lowest
         )
-    r = int(np.count_nonzero(s * s > tol))  # s is descending
-    return s, u[:, r:], vh[r:].conj().T
+    cut = float(omega.error + 8 * max(omega.x.shape) * np.finfo(float).eps * max((1.0, *s[:1])))
+    r = int(np.count_nonzero(s > cut))  # s is descending
+    return cut, s, u[:, r:], vh[r:].conj().T
 
 
 def _kernel_dimension_chain(
@@ -221,21 +216,13 @@ def _kernel_dimension_chain(
         for _ in range(-(-dims[-1] // size) - 1):
             block.append(block[-1] @ m)
         images = (np.concatenate(block) if len(block) > 1 else rows) @ basis
-        if size == 1:  # one batch of d_0 images, whose QR decides every step
-            qr, _, _, info = _lapack().zgeqrf(images.T, overwrite_a=True)
-            if info != 0:
-                raise EvaluationError(f"QR factorization failed (zgeqrf info {info})")
-            distances = np.abs(qr.diagonal())
         for step in range(len(block)):
-            if size == 1:
-                drop = int(distances[step] ** 2 > tol)
-            else:
-                x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
-                for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
-                    x -= (x @ yh[:r].conj().T) @ yh[:r]
-                _, s, vh = _svd(x, full_matrices=False)
-                drop = int(np.count_nonzero(s * s > tol))  # s is descending
-                yh[r:r + drop] = vh[:drop]
+            x, r = images[step * size:(step + 1) * size], dims[0] - dims[-1]
+            for _ in range(2 if r else 0):  # once loses orthogonality to roundoff
+                x -= (x @ yh[:r].conj().T) @ yh[:r]
+            _, s, vh = _svd(x, full_matrices=False)
+            drop = int(np.count_nonzero(s * s > tol))  # s is descending
+            yh[r:r + drop] = vh[:drop]
             dims.append(dims[-1] - drop)
             if dims[-1] >= dims[-2]:
                 raise PipelineError(f"kernel dimensions are not strictly decreasing: {dims}")
@@ -248,11 +235,14 @@ def _kernel_dimension_chain(
 
 
 def _side(
-    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float
+    basis: np.ndarray, w: Realization, sw: SchurForm, tol: float, certain: bool
 ) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """(kernel dimensions, drops, index magnitudes) of one side from its N_0 from
-    ``_step_zero``; ``w`` is the factor on the state space of ``basis``, whose map M iterates."""
-    dims = _kernel_dimension_chain(basis, w, sw, tol)
+    """(kernel dimensions, drops, index magnitudes) of one side from its N_0 on the state
+    space of ``w``; a one-row side runs no chain where step 0 is ``certain`` (module docstring)."""
+    if certain and np.count_nonzero(w.c.any(axis=1)) == 1:
+        dims = list(range(basis.shape[1], -1, -1))
+    else:
+        dims = _kernel_dimension_chain(basis, w, sw, tol)
     mu = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     return tuple(dims), mu, [sum(m >= j for m in mu) for j in range(1, mu[0] + 1 if mu else 1)]
 
@@ -287,9 +277,10 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
     """
     sv, sw = _validated(pair, tol)
     omega = _coupling(pair, sv, sw)
-    s, positive_basis, negative_basis = _step_zero(omega.x, tol)
-    negative_dims, mu, kappa = _side(negative_basis, pair.w, sw, tol)
-    positive_dims, nu, omegas = _side(positive_basis, pair.v, sv, tol)
+    cut, s, positive_basis, negative_basis = _step_zero(omega, tol)
+    certain = omega.error == 0.0 or not (positive_basis.shape[1] and negative_basis.shape[1])
+    negative_dims, mu, kappa = _side(negative_basis, pair.w, sw, tol, certain)
+    positive_dims, nu, omegas = _side(positive_basis, pair.v, sv, tol, certain)
     m = pair.output_dim
     p, q_count = len(kappa), len(omegas)
     if p + q_count > m:
@@ -311,4 +302,5 @@ def full_profile(pair: SymbolPair, tol: float = CLUSTER_TOL) -> IndexProfile:
         omega=omega.x,
         residual=omega.residual,
         singular_values=s,
+        step_zero_cut=cut,
     )

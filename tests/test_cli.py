@@ -13,14 +13,15 @@ from whindex import SymbolPair, zeta_power_realization
 
 
 #: ``whindex example dss``'s report, exact on any BLAS: omega = 0, so the
-#: residual is 0.0 and every eigenvalue of Q is 1.0.
+#: residual is 0.0, every eigenvalue of Q is 1.0 and the step-0 cut is 8 n eps, n = 8.
 DSS_REPORT = (
     '{"all_indices":[-4,-2,0,3,5],"diagnostics":{"cross_check_margins":'
     '{"negative":9.9999999947364415e-08,"positive":9.9999999947364415e-08},"q_eigenvalues":'
     '{"negative":[1.0,1.0,1.0,1.0,1.0,1.0],"positive":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0]},'
-    '"residuals":{"omega":0.0}},"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
+    '"residuals":{"omega":0.0},"step_zero_cut":1.4210854715202004e-14},'
+    '"kernel_dims":{"negative":[6,4,2,1,0],"positive":[8,6,4,2,1,0]},'
     '"mu":[2,2,1,1],"negative_indices":[-4,-2],"nu":[2,2,2,1,1],"positive_indices":[3,5],'
-    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":1}\n'
+    '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.8.0","zeros":1}\n'
 )
 
 
@@ -33,20 +34,22 @@ NONZERO_COUPLING_REPORTS = {
         '"diagnostics":{"cross_check_margins":{"negative":0.98508521201527288,'
         '"positive":9.9999999947364415e-08},'
         '"q_eigenvalues":{"negative":[0.014914687984727171],"positive":[0.014914687984727171,'
-        '1.0,1.0]},"residuals":{"omega":8.3266726846886741e-17}},'
+        '1.0,1.0]},"residuals":{"omega":8.3266726846886741e-17},'
+        '"step_zero_cut":2.5835891233651946e-14},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.7.0","zeros":0}\n'
+        '"tool_version":"0.8.0","zeros":0}\n'
     ),
     "scalar-c2d": (
         '{"all_indices":[2],'
         '"diagnostics":{"cross_check_margins":{"negative":0.98508521201527288,'
         '"positive":9.9999999947364415e-08},'
         '"q_eigenvalues":{"negative":[0.014914687984727171],"positive":[0.014914687984727171,'
-        '1.0,1.0]},"residuals":{"omega":2.0595777971499126e-16}},'
+        '1.0,1.0]},"residuals":{"omega":2.0595777971499126e-16},'
+        '"step_zero_cut":1.7173638923726998e-14},'
         '"kernel_dims":{"negative":[0],"positive":[2,1,0]},"mu":[],"negative_indices":[],'
         '"nu":[1,1],"positive_indices":[2],"tolerance_used":9.9999999999999995e-08,'
-        '"tool_version":"0.7.0","zeros":0}\n'
+        '"tool_version":"0.8.0","zeros":0}\n'
     ),
     "twisted": (
         '{"all_indices":[-1,1],'
@@ -54,9 +57,10 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":9.9999999947364415e-08},'
         '"q_eigenvalues":{"negative":[0.038196286472148566,0.042008196721311508,1.0],'
         '"positive":[0.038196286472148566,0.042008196721311508,1.0]},'
-        '"residuals":{"omega":2.2204460492503131e-16}},"kernel_dims":{"negative":[1,0],'
+        '"residuals":{"omega":2.2204460492503131e-16},"step_zero_cut":7.1302529312866516e-14},'
+        '"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.8.0","zeros":0}\n'
     ),
     "twisted-c2d": (
         '{"all_indices":[-1,1],'
@@ -64,9 +68,10 @@ NONZERO_COUPLING_REPORTS = {
         '"positive":9.9999999947364415e-08},'
         '"q_eigenvalues":{"negative":[0.038196286472147678,0.042008196721311175,1.0],'
         '"positive":[0.038196286472147678,0.042008196721311175,1.0]},'
-        '"residuals":{"omega":3.5652682413747997e-16}},"kernel_dims":{"negative":[1,0],'
+        '"residuals":{"omega":3.5652682413747997e-16},"step_zero_cut":4.9850020966592024e-14},'
+        '"kernel_dims":{"negative":[1,0],'
         '"positive":[1,0]},"mu":[1],"negative_indices":[-1],"nu":[1],"positive_indices":[1],'
-        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.7.0","zeros":0}\n'
+        '"tolerance_used":9.9999999999999995e-08,"tool_version":"0.8.0","zeros":0}\n'
     ),
 }
 

@@ -360,11 +360,10 @@ def test_contraction_is_identity_minus_the_coupling_gram():
 
 
 @pytest.mark.parametrize("flavor", ["continuous", "discrete"])
-@pytest.mark.xfail(strict=True, raises=PipelineError, reason=(
-    "a wrong refusal: the smallest singular value of omega, 7.2e-5, fails s^2 > tol = 1e-7, "
-    "so the rank cut reads an inconsistent profile (ROADMAP item 2 decides it)"))
 def test_the_degree_5_over_degree_5_pair_of_verify_seed_20260868(flavor):
     # The 37th draw of indices-scalar-ground-truth at `whindex verify --seed 20260868`.
+    # The smallest singular value of omega, 7.2e-5, failed the former step-0 cut
+    # s^2 > 1e-7, which refused the pair; the certified step 0 keeps it.
     from whindex.verify import _scalar_pair
 
     rng = np.random.default_rng([20260868, 13])
@@ -398,13 +397,11 @@ def _deep_pair(index):
 
 @pytest.mark.parametrize("flavor", ["continuous", "discrete"])
 @pytest.mark.parametrize("index, truth", [(53, (0, 1, 14)), (75, (-1, 1, 15)), (94, (0, 1))])
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a wrong answer: a genuine singular value of omega between 6e-6 and 1.6e-4 fails "
-    "s^2 > tol = 1e-7, and both sides gain one kernel dimension (ROADMAP item 2)"))
 def test_the_wrong_answers_of_the_deep_recipe(index, truth, flavor):
+    # A genuine singular value of omega between 6e-6 and 1.6e-4 failed the former
+    # step-0 cut s^2 > 1e-7, and both sides gained one kernel dimension.
     pair, drawn = _deep_pair(index)
-    if drawn != truth:  # not an AssertionError, which the xfail would take for the pin
-        pytest.fail(f"the recipe drew truth {drawn}, not {truth}")
+    assert drawn == truth
     if flavor == "discrete":
         pair = SymbolPair(c2d(pair.v), c2d(pair.w))
     assert full_profile(pair).all_indices == truth

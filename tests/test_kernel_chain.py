@@ -25,28 +25,40 @@ from whindex import (
     zeta_of_minus,
 )
 from whindex import core, errors, indices
-from whindex.equations import CLUSTER_TOL, _disk_map, schur_form
+from whindex.equations import CLUSTER_TOL, EquationSolution, _disk_map, schur_form
 from whindex.sampling import random_blaschke_spec, random_symbol_pair, random_unitary
 
 #: Degrees of the acceptance sweep and the cyclic shifts pairing them.
 SWEEP_DEGREES = tuple(range(8, 21))
 SWEEP_SHIFTS = (0, 4, 8, 12)
 SWEEP_SEEDS = (1, 2, 3)
-#: PipelineError count of the sweep when the recursion replaced the matrix-power
-#: chain, which failed 20 of the 156 pairs; it may only fall.
-SWEEP_MAX_FAILURES = 5
+#: PipelineError count of the sweep since a certified step 0 decides one-row
+#: sides; it was 20 of the 156 pairs with the matrix-power chain, and may only fall.
+SWEEP_MAX_FAILURES = 0
 #: Sweep pairs whose degree gap is confirmed by the winding-number oracle.
 SWEEP_ORACLE_SAMPLE = 12
 #: Pairs of the deep sweep, with both degrees drawn from DEEP_DEGREES.
 DEEP_PAIRS = 60
 DEEP_DEGREES = (21, 40)
-#: PipelineError count of the deep sweep's 120 profiles with the chain of one
-#: SVD per step, which the QR of scalar chains replaced; it may only fall.
-DEEP_MAX_FAILURES = 16
+#: PipelineError count of the deep sweep's 120 profiles since a certified step 0
+#: decides one-row sides; it was 16 with a chain per side, and may only fall.
+DEEP_MAX_FAILURES = 0
 #: Deep sweep pairs whose degree gap is confirmed by the winding-number oracle.
 DEEP_ORACLE_SAMPLE = 6
 #: Distances of the near-axis pole of ``_near_axis_pair`` from the imaginary axis.
 NEAR_AXIS_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+#: Families of seeded scalar pairs, each padded with a constant 1 to a 2 x 2
+#: symbol: (seed, pairs, inclusive degree range, typed refusals allowed of its
+#: profiles in both flavors).  Where step 0 drops a genuine singular value
+#: under delta_0, the one-row sides run their chains, which refuse.
+PADDED_FAMILIES = {
+    "degree 4-20": (5, 200, (4, 20), 0),
+    "degree 11-30": ([11, 30, 5], 100, (11, 30), 0),
+    "degree 21-40": ([21, 71], 100, (21, 40), 0),
+    "degree 31-50": ([31, 50, 5], 60, (31, 50), 0),
+    "degree 60-120": ([60, 120, 5], 20, (60, 120), 2),
+    "degree 100-160": ([100, 160, 5], 20, (100, 160), 2),
+}
 #: The typed errors whindex refuses an input with.
 WHINDEX_ERRORS = tuple(
     e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)
@@ -109,9 +121,9 @@ def _dropped_bases(pair, monkeypatch):
         buffers.append(empty(shape, *args, **kwargs))
         return buffers[-1]
 
-    basis = indices._step_zero(profile.omega, CLUSTER_TOL)[2]
+    basis, w, form = _chain_inputs(pair)[0]
     monkeypatch.setattr(np, "empty", record)
-    dims = indices._kernel_dimension_chain(basis, pair.w, schur_form(pair.w.a), CLUSTER_TOL)
+    dims = indices._kernel_dimension_chain(basis, w, form, CLUSTER_TOL)
     monkeypatch.undo()
     assert tuple(dims) == profile.negative_kernel_dims and dims[-1] == 0
     [yh] = [b for b in buffers if b.shape == (dims[0], dims[0])]
@@ -189,10 +201,13 @@ def test_every_chain_that_builds_its_map_runs_the_isometry_screen_once(monkeypat
     rng = np.random.default_rng(3113)
     pairs = [diagonal_symbol_factors(powers) for powers in ([-8, 8], [0], [3], [-3, 2, -1])]
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(6)]
+    expected = 0
     for pair in pairs:
         for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
             full_profile(flavored, CLUSTER_TOL)
-    assert len(chains) == 4 * len(pairs)
+            # Every step 0 here is certain, so a one-row side runs no chain.
+            expected += sum(not _one_row(f) for f in (flavored.w, flavored.v))
+    assert len(chains) == expected
     assert {(d0 > 0, count) for d0, count in chains} == {(True, 1), (False, 0)}
 
 
@@ -226,7 +241,7 @@ def test_disk_map_defect_is_the_balance_defect_seen_through_the_resolvent():
 def test_step_zero_refuses_a_coupling_that_stretches():
     # omega = 1.5 I makes Q = I - omega* omega = -1.25 I, not a positive contraction.
     with pytest.raises(ContractionViolationError) as info:
-        indices._step_zero(1.5 * np.eye(3), CLUSTER_TOL)
+        indices._step_zero(EquationSolution(1.5 * np.eye(3), 0.0, 0.0), CLUSTER_TOL)
     assert info.value.eigenvalue == 1 - 2.25
 
 
@@ -255,7 +270,7 @@ def test_chain_refuses_a_drop_larger_than_the_one_before():
 
 
 class _DecompositionRecorder:
-    """The LAPACK module with its SVDs (zgesdd, dgesdd) and QRs (zgeqrf) recorded in ``calls``."""
+    """The LAPACK module with its SVDs (zgesdd, dgesdd) recorded in ``calls``."""
 
     def __init__(self, lapack, calls, inside):
         self.lapack, self.calls, self.inside = lapack, calls, inside
@@ -276,24 +291,24 @@ class _DecompositionRecorder:
     def dgesdd(self, *args, **kwargs):
         return self._record("dgesdd", *args, **kwargs)
 
-    def zgeqrf(self, a, *args, **kwargs):
-        self.calls.append((bool(self.inside), "qr", np.shape(a)))
-        return self.lapack.zgeqrf(a, *args, **kwargs)
+
+def _one_row(factor):
+    """Whether ``factor`` has one nonzero row of c: where step 0 is certain, its side runs no chain."""
+    return np.count_nonzero(factor.c.any(axis=1)) == 1
 
 
 def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
     """Outside the chains, full_profile decomposes one n_v x n_w matrix, omega.
-    Inside them, a chain that runs with one row of c_d (``chain_oracle.step_rows``:
-    m = 1, or one nonzero row where d_0 exceeds m) makes one QR of its
-    d_0 x d_0 images and no SVD, and every decomposition of any other chain is
-    an SVD with at most as many rows as it steps with: the chain takes N_0 as a
-    basis, and the Frobenius screen decides the isometry check of a genuine
-    pair without a decomposition.  The decompositions are counted at the LAPACK
-    wrappers, and numpy's SVD is never called."""
+    A side whose factor has one nonzero row of c runs no chain where step 0 is
+    certain, as on every pair here, and decomposes nothing more.  Every
+    decomposition of a chain that runs is an SVD with at most as many rows as
+    it steps with (``chain_oracle.step_rows``), one per step: the chain takes
+    N_0 as a basis, and the Frobenius screen decides the isometry check of a
+    genuine pair without a decomposition.  The decompositions are counted at
+    the LAPACK wrappers, and numpy's SVD is never called."""
     calls, inside, numpy_svds = [], [], []
     recorder = _DecompositionRecorder(core._lapack(), calls, inside)
     monkeypatch.setattr(core, "_lapack", lambda: recorder)
-    monkeypatch.setattr(indices, "_lapack", lambda: recorder)
     for name in ("eigh", "eigvalsh"):
         def record(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append((bool(inside), _name, np.shape(a)))
@@ -332,22 +347,19 @@ def test_chain_steps_decompose_only_m_row_matrices(monkeypatch):
         shape = pair.v.state_dim, pair.w.state_dim
         # An empty omega has its step 0 without LAPACK.
         assert outside == ([("svd", shape)] if min(shape) else [])
-        assert len(chains) == 2
+        assert len(chains) == sum(not _one_row(f) for f in (pair.w, pair.v))
         for dims, rows, recorded in chains:
             fewer_rows += dims[0] > 0 and rows < pair.output_dim
-            if rows == 1:
-                assert recorded == ([("qr", (dims[0], dims[0]))] if dims[0] else [])
-                continue
             assert [name for name, _ in recorded] == ["svd"] * (len(dims) - 1)
             assert all(shape[0] <= rows for _, shape in recorded)
-    # Both chains of diag(zeta^16, 1) step with one row, and the negative one
-    # of diag(zeta^3, 1, zeta) with two.
-    assert fewer_rows == 3
+    # The negative chain of diag(zeta^3, 1, zeta) steps with two of its three rows;
+    # the one-row sides of diag(zeta^16, 1) run no chain.
+    assert fewer_rows == 1
     assert numpy_svds == []
 
 
 class _FailingDecompositions:
-    """The LAPACK module with every SVD and QR reporting failure (info 1)."""
+    """The LAPACK module with every SVD reporting failure (info 1)."""
 
     def __init__(self, lapack):
         self.lapack = lapack
@@ -361,22 +373,20 @@ class _FailingDecompositions:
     def dgesdd(self, *args, **kwargs):
         return (*self.lapack.dgesdd(*args, **kwargs)[:3], 1)
 
-    def zgeqrf(self, *args, **kwargs):
-        return (*self.lapack.zgeqrf(*args, **kwargs)[:3], 1)
-
 
 @pytest.mark.parametrize(
     "decomposition",
     ["step zero", "chain step", "scalar chain", "one-row chain", "opnorm", "real opnorm"],
 )
 def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
-    # U diag(zeta^2, 1) steps with both rows; diag(zeta^3, 1) with its one nonzero row.
+    # U diag(zeta^2, 1) steps with both rows; diag(zeta^3, 1) with its one nonzero
+    # row, an SVD per step as the scalar chain, where a one-row side's step 0 is not certain.
     w = _left_twisted(diagonal_symbol_factors([-2, 2]), np.random.default_rng(3114)).w
     sw, basis = schur_form(w.a), np.eye(w.state_dim)[:, :1]
     scalar = blaschke_realization(BlaschkeSpec(1.0, (-1.0, -2.0)))
     static = diagonal_symbol_factors([-3, 3]).w
     decompose = {
-        "step zero": lambda: indices._step_zero(0.5 * np.eye(2, dtype=complex), CLUSTER_TOL),
+        "step zero": lambda: indices._step_zero(EquationSolution(0.5 * np.eye(2), 0.0, 0.0), CLUSTER_TOL),
         "chain step": lambda: indices._kernel_dimension_chain(basis, w, sw, CLUSTER_TOL),
         "scalar chain": lambda: indices._kernel_dimension_chain(
             basis, scalar, schur_form(scalar.a), CLUSTER_TOL
@@ -389,9 +399,7 @@ def test_a_failed_svd_raises_evaluation_error(monkeypatch, decomposition):
     }[decomposition]
     failing = _FailingDecompositions(core._lapack())
     monkeypatch.setattr(core, "_lapack", lambda: failing)
-    monkeypatch.setattr(indices, "_lapack", lambda: failing)
-    routine = "zgeqrf" if decomposition.endswith("chain") else "gesdd"
-    with pytest.raises(EvaluationError, match=rf"{routine} info 1\)"):
+    with pytest.raises(EvaluationError, match=r"gesdd info 1\)"):
         decompose()
 
 
@@ -440,18 +448,49 @@ def _near_axis_pair(eps):
 
 
 @pytest.mark.parametrize("eps", NEAR_AXIS_EPS)
-def test_near_axis_scalar_pairs_are_answered_right_or_refused(eps):
-    # The truth is the degree gap of phi to m.  Such pairs may be refused with
-    # a typed error (the chain refuses them below about 1e-6), but never
-    # answered wrongly.
+def test_near_axis_scalar_pairs_are_answered_right(eps):
+    # The truth is the degree gap of phi to m.  A chain refused these pairs below
+    # about 1e-6; the certified step 0 decides both one-row sides without one.
     pair = _near_axis_pair(eps)
     for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
-        try:
-            answer = full_profile(flavored).all_indices
-        except WHINDEX_ERRORS:
-            assert eps < 1e-4
-            continue
-        assert answer == (2,)
+        assert full_profile(flavored).all_indices == (2,)
+
+
+def _padded_pairs(seed, count, degrees):
+    """(pair, truth) of ``count`` seeded scalar pairs padded to diag(phi/m, 1)."""
+    one = constant_realization(np.eye(1))
+    for phi, m in _random_specs(seed, count, degrees):
+        pair = SymbolPair(*(direct_sum(blaschke_realization(spec), one) for spec in (phi, m)))
+        yield pair, tuple(sorted((phi.degree - m.degree, 0)))
+
+
+@pytest.mark.parametrize("family", PADDED_FAMILIES)
+def test_padded_scalar_pairs_are_answered_right_or_refused(family):
+    # diag(phi/m, 1) has the omega and the chains of the scalar pair, but m = 2,
+    # so the check that the indices fit in m outputs cannot turn a wrong step 0
+    # into a refusal.  Both sides are one-row sides.
+    seed, count, degrees, max_failures = PADDED_FAMILIES[family]
+    failures = 0
+    for pair, truth in _padded_pairs(seed, count, degrees):
+        for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
+            try:
+                answer = full_profile(flavored).all_indices
+            except WHINDEX_ERRORS:
+                failures += 1
+                continue
+            assert answer == truth
+    assert failures <= max_failures
+
+
+def test_a_one_row_side_runs_its_chain_where_step_0_drops_a_singular_value():
+    # Pair 7 of the degree 60-120 family: omega is 96 x 96, and its smallest
+    # singular value, 2.3e-9, falls under delta_0 = 4.2e-7.  Read off the
+    # enlarged N_0, the pair would be answered (-1, 1) for the truth (0, 0).
+    seed, count, degrees, _ = PADDED_FAMILIES["degree 60-120"]
+    pair, truth = list(_padded_pairs(seed, count, degrees))[7]
+    assert truth == (0, 0)
+    with pytest.raises(PipelineError, match="not strictly decreasing"):
+        full_profile(pair)
 
 
 def _random_specs(seed, count, degrees):
@@ -488,9 +527,9 @@ def test_blaschke_sweep_degrees_21_to_40():
 
 def _stepwise_chain(basis, w, sw, tol):
     """``indices._kernel_dimension_chain`` with one SVD per step for every m,
-    less its isometry check: the images of a step are projected twice off the
-    directions Y dropped so far, and the step drops the right singular vectors
-    with s^2 > tol.  The reference for the one QR of a scalar chain."""
+    less its isometry check and its dropping of zero rows: the images of a step
+    are projected twice off the directions Y dropped so far, and the step drops
+    the right singular vectors with s^2 > tol."""
     dims = [basis.shape[1]]
     if not dims[0]:
         return dims
@@ -533,26 +572,31 @@ def _chain_outcome(chain, *args):
 def _chain_inputs(pair):
     """(basis, factor, Schur form) of the negative and the positive chain of ``pair``."""
     sv, sw = indices._validated(pair, CLUSTER_TOL)
-    omega = indices._coupling(pair, sv, sw).x
-    _, positive, negative = indices._step_zero(omega, CLUSTER_TOL)
+    _, _, positive, negative = indices._step_zero(indices._coupling(pair, sv, sw), CLUSTER_TOL)
     return (negative, pair.w, sw), (positive, pair.v, sv)
 
 
-def test_scalar_chain_qr_decides_as_the_stepwise_chain():
-    pairs = [_scalar_pair(*specs) for specs in _random_specs(3109, 80, (2, 40))]
-    pairs += [_near_axis_pair(eps) for eps in NEAR_AXIS_EPS]
+def test_one_row_sides_are_answered_right_where_the_stepwise_chain_refuses():
+    # A scalar pair's sides take no chain: each reads d_0, ..., 0 off its
+    # certified step 0.  That is the truth on every profile, and the
+    # stepwise chain from the same N_0 at CLUSTER_TOL, where it answers.
+    pairs = [(_scalar_pair(*specs), specs[0].degree - specs[1].degree)
+             for specs in _random_specs(3109, 80, (2, 40))]
+    pairs += [(_near_axis_pair(eps), 2) for eps in NEAR_AXIS_EPS]
     steps = refusals = 0
-    for pair in pairs:
+    for pair, truth in pairs:
         for flavored in (pair, SymbolPair(c2d(pair.v), c2d(pair.w))):
-            for basis, w, form in _chain_inputs(flavored):
-                args = basis, w, form, CLUSTER_TOL
-                expected = _chain_outcome(_stepwise_chain, *args)
-                assert _chain_outcome(indices._kernel_dimension_chain, *args) == expected
-                if isinstance(expected, str):
+            profile = full_profile(flavored)
+            assert profile.all_indices == (truth,)
+            answers = profile.negative_kernel_dims, profile.positive_kernel_dims
+            for dims, (basis, w, form) in zip(answers, _chain_inputs(flavored)):
+                stepwise = _chain_outcome(_stepwise_chain, basis, w, form, CLUSTER_TOL)
+                if isinstance(stepwise, str):
                     refusals += 1
                 else:
-                    steps += len(expected) - 1
-    # Both outcomes are compared: 776 steps of answered chains and 76 refusals.
+                    assert tuple(stepwise) == dims
+                    steps += len(stepwise) - 1
+    # 776 steps of answered chains agree, and 76 chains that the stepwise chain refuses.
     assert steps >= 700 and refusals >= 70
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
-import chain_oracle
 import kronecker_oracle as kron
 from whindex import (
     EvaluationError,
@@ -400,39 +399,37 @@ def test_profile_makes_one_coupling_solve_and_two_gramian_solves(monkeypatch):
 
 def test_profile_lapack_calls_follow_the_work_budget(monkeypatch):
     """Every LAPACK routine a profile calls, counted at the wrappers of the
-    three modules that call LAPACK: two Schur forms, the solve with its two
-    Gramians, one SVD for omega and one for its residual norm.  A chain that
-    runs makes one QR of its images and no SVD where it steps with one row of
-    c_d (``chain_oracle.step_rows``: m = 1, or one nonzero row where d_0
-    exceeds m, as for diagonal pairs), and one SVD per step otherwise.  A
-    continuous side whose chain runs evaluates the disk map by one triangular
-    solve and no condition estimate: validation of the factor proves it has
-    no pole.  A discrete profile inverts two shifted
-    Schur factors for the Cayley factors of its Stein solve instead."""
+    two modules that call LAPACK: two Schur forms, the solve with its two
+    Gramians, one SVD for omega and one for its residual norm.  A side whose
+    factor has one nonzero row of c, as both of a diagonal or a scalar pair,
+    runs no chain where step 0 keeps every singular value or omega is 0, as
+    here; a chain that runs makes one SVD per step.  A continuous side whose
+    chain runs evaluates the disk map by one triangular solve and no
+    condition estimate: validation of the factor proves it has no pole.  A
+    discrete profile inverts two shifted Schur factors for the Cayley factors
+    of its Stein solve instead."""
     counter = _LapackCounter(core._lapack())
-    for module in (equations, core, indices):
+    for module in (equations, core):
         monkeypatch.setattr(module, "_lapack", lambda: counter)
     decompositions = {False: [], True: []}
     for pair in _profile_pairs():
-        for discrete in (False, True):
+        for discrete in decompositions:
             flavored = SymbolPair(c2d(pair.v), c2d(pair.w)) if discrete else pair
             counter.calls.clear()
             profile = full_profile(flavored)
-            chains = [(dims, chain_oracle.step_rows(factor.c, dims[0]))
-                      for dims, factor in ((profile.negative_kernel_dims, flavored.w),
-                                           (profile.positive_kernel_dims, flavored.v))]
-            running = sum(dims[0] > 0 for dims, _ in chains)
-            qrs = sum(dims[0] > 0 and rows == 1 for dims, rows in chains)
-            steps = sum(len(dims) - 1 for dims, rows in chains if rows > 1)
-            budget = {"zgees": 2, "ztrsyl": 3, "ztrcon": 0, "zgesdd": 2 + steps}
-            budget.update({"zgeqrf": qrs} if qrs else {})
+            chains = [dims for dims, factor in ((profile.negative_kernel_dims, flavored.w),
+                                                (profile.positive_kernel_dims, flavored.v))
+                      if np.count_nonzero(factor.c.any(axis=1)) > 1]
+            running = sum(dims[0] > 0 for dims in chains)
+            budget = {"zgees": 2, "ztrsyl": 3, "ztrcon": 0,
+                      "zgesdd": 2 + sum(len(dims) - 1 for dims in chains)}
             budget.update({"ztrtri": 2} if discrete else {"ztrtrs": running})
             # Counters compare a missing routine as zero calls, as ztrcon's must be.
             calls = {name: count for name, count in counter.calls.items()
                      if not name.endswith("_lwork")}
             assert collections.Counter(calls) == collections.Counter(budget)
-            decompositions[discrete].append((budget["zgesdd"], budget.get("zgeqrf", 0)))
-    assert decompositions[False] == decompositions[True] == [(2, 2), (2, 2), (2, 1), (34, 0)]
+            decompositions[discrete].append(budget["zgesdd"])
+    assert decompositions[False] == decompositions[True] == [2, 2, 2, 34]
 
 
 def test_gate_accepts_a_well_conditioned_equation_near_the_axis():

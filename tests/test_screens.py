@@ -27,7 +27,8 @@ def _pairs():
     """About 60 seeded diagonal, scalar Blaschke and twisted MIMO pairs, each
     continuous and as its Cayley image, and the diagonal pair [-128, 128],
     whose factors are too large for validation to certify the chain's
-    isometry check, which then decides with its screen first."""
+    isometry check, which then decides with its screen first: its outputs are
+    mixed by a unitary, so that both sides run their chains."""
     rng = np.random.default_rng(3108)
     pairs = [diagonal_symbol_factors(list(rng.integers(-4, 5, size=int(rng.integers(1, 4)))))
              for _ in range(10)]
@@ -36,14 +37,19 @@ def _pairs():
               for f, g in rng.integers(0, 9, size=(10, 2))]
     pairs += [random_symbol_pair(rng, max_m=3, max_block_degree=3) for _ in range(10)]
     images = [SymbolPair(c2d(pair.v), c2d(pair.w)) for pair in pairs]
-    return pairs + images + [diagonal_symbol_factors([-128, 128])]
+    u, diagonal = random_unitary(rng, 2), diagonal_symbol_factors([-128, 128])
+    return pairs + images + [SymbolPair(*(unitary_twist(f, u, "left") for f in (diagonal.v, diagonal.w)))]
 
 
 def _outcome(pair):
+    """(report bytes less the step-0 cut, that cut), or the refusal's type and
+    message with no cut."""
     try:
-        return canonical_json(build_report(full_profile(pair), CLUSTER_TOL))
+        report = build_report(full_profile(pair), CLUSTER_TOL)
     except Exception as exc:  # a refusal must match by type and message
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", None
+    cut = report["diagnostics"].pop("step_zero_cut")
+    return canonical_json(report), cut
 
 
 def test_profiles_are_byte_identical_when_the_screen_never_decides(monkeypatch):
@@ -57,7 +63,11 @@ def test_profiles_are_byte_identical_when_the_screen_never_decides(monkeypatch):
 
     for module in (core, equations, indices):
         monkeypatch.setattr(module, "_screen", undecided)
-    assert [_outcome(pair) for pair in pairs] == screened
+    undecided = [_outcome(pair) for pair in pairs]
+    assert [report for report, _ in undecided] == [report for report, _ in screened]
+    # The certified step-0 cut is the one reported value that rests on a screened
+    # bound: undecided, the gate bounds |L^{-1}| by its exact rule, never above.
+    assert all(u <= s for (_, u), (_, s) in zip(undecided, screened) if u is not None)
     # Validation, the Gramian gate and the chain's isometry check all asked.
     assert {core.VALIDATION_TOL, equations.CONDITION_LIMIT, CLUSTER_TOL} <= set(calls)
 
